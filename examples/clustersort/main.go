@@ -15,7 +15,10 @@
 //	detect-avoid       fail-stutter loop: detect, flag, migrate backlog
 //
 // Every run is deterministic: the makespans below are exact functions of
-// the configuration, reproducible to the last digit.
+// the configuration, reproducible to the last digit. Each runs on a
+// 1-shard kernel whose lookahead is the quantum: a finished worker's next
+// task starts at the window horizon, at most one quantum after the
+// completion.
 //
 // Run with: go run ./examples/clustersort
 package main
@@ -43,7 +46,7 @@ func main() {
 
 	fmt.Println("healthy cluster:")
 	for _, sched := range failstutter.Schedulers() {
-		pool := failstutter.NewPool(failstutter.NewSimulator(), workers, quantum)
+		pool := failstutter.NewPool(failstutter.NewShardedSimulator(1, quantum), workers, quantum)
 		r := sched.Run(pool, tasks)
 		fmt.Printf("  %-18s %9.3fs\n", r.Scheduler, r.Makespan)
 	}
@@ -53,9 +56,8 @@ func main() {
 
 	fmt.Println("\nCPU hog lands on worker 0 early in the job (50% CPU for the rest of it):")
 	for _, sched := range failstutter.Schedulers() {
-		s := failstutter.NewSimulator()
-		pool := failstutter.NewPool(s, workers, quantum)
-		s.After(hogAt, func() { pool.Workers()[0].SetSpeed(0.5) })
+		pool := failstutter.NewPool(failstutter.NewShardedSimulator(1, quantum), workers, quantum)
+		pool.SetSpeedAt(0, hogAt, 0.5)
 		r := sched.Run(pool, tasks)
 		extra := ""
 		if r.Duplicates > 0 {
@@ -70,9 +72,8 @@ func main() {
 			if sched.Name() != name {
 				continue
 			}
-			s := failstutter.NewSimulator()
-			pool := failstutter.NewPool(s, workers, quantum)
-			s.After(hogAt, func() { pool.Workers()[0].SetSpeed(0.02) })
+			pool := failstutter.NewPool(failstutter.NewShardedSimulator(1, quantum), workers, quantum)
+			pool.SetSpeedAt(0, hogAt, 0.02)
 			r := sched.Run(pool, tasks)
 			fmt.Printf("  %-18s %9.3fs  (wasted %.0f units of %d total)\n",
 				r.Scheduler, r.Makespan, r.WastedUnits, partitions*units)

@@ -6,7 +6,7 @@
 // ... one machine over-saturates and thus is the bottleneck".
 //
 // Three configurations run the same closed-loop put workload, each on its
-// own virtual-time simulator (500 virtual milliseconds of load,
+// own 1-shard virtual-time kernel (500 virtual milliseconds of load,
 // deterministic to the last put):
 //
 //	baseline    no GC, synchronous replication
@@ -26,11 +26,11 @@ import (
 )
 
 func run(gc, adaptive bool) (puts int64, hints int64) {
-	s := failstutter.NewSimulator()
-	d := failstutter.NewDHT(s, failstutter.DHTParams{
+	const opQuantum = 50e-6 // 50 virtual microseconds per operation
+	d := failstutter.NewDHT(failstutter.NewShardedSimulator(1, opQuantum), failstutter.DHTParams{
 		Nodes:       4,
 		Replication: 2,
-		OpQuantum:   50e-6, // 50 virtual microseconds per operation
+		OpQuantum:   opQuantum,
 		Adaptive:    adaptive,
 		SampleEvery: 1e-3,
 	})

@@ -24,12 +24,16 @@ import (
 )
 
 func transposeDemo(slow bool) float64 {
-	s := failstutter.NewSimulator()
-	sw := failstutter.NewSwitch(s, failstutter.SwitchParams{
+	// The wire latency is the fabric's minimum cross-port delay and so
+	// the kernel's lookahead.
+	const wire = 1e-4
+	ss := failstutter.NewShardedSimulator(1, wire)
+	sw := failstutter.NewSwitch(ss, failstutter.SwitchParams{
 		Ports:       8,
 		LinkRate:    1e6,
 		DrainRate:   1e6,
 		BufferBytes: 512 * 1024,
+		WireLatency: wire,
 	})
 	if slow {
 		sw.ReceiverComposite(3).Set("slow", 0.33)
@@ -37,7 +41,10 @@ func transposeDemo(slow bool) float64 {
 
 	// Watch each receiver's delivered bytes with a peer-relative detector:
 	// no specs needed, divergence is the signal. Verdicts are evaluated
-	// mid-flight, while the transfer is actually running.
+	// mid-flight, while the transfer is actually running. The detector
+	// reads every port's counter, so it ticks on the one shard all ports
+	// share.
+	s := ss.Shard(0)
 	peers := failstutter.NewPeerSet(failstutter.PeerConfig{
 		WindowSamples: 4, Threshold: 0.6, MinPeers: 4,
 	})
@@ -64,7 +71,7 @@ func transposeDemo(slow bool) float64 {
 	}
 	s.After(0.1, tick)
 
-	bw := workload.TransposeBandwidth(s, sw, 256*1024)
+	bw := workload.TransposeBandwidth(ss, sw, 256*1024)
 	if slow {
 		culprit, best := -1, 0
 		for port, n := range flagCounts {

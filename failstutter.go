@@ -21,15 +21,20 @@
 //   - fail-stutter-tolerant computation: a virtual-time worker pool with
 //     schedulers from static partitioning to detect-and-avoid migration,
 //     plus a replicated DHT with hinted handoff (NewPool, Schedulers,
-//     NewDHT);
+//     NewDHT), both running on the sharded kernel
+//     (NewShardedSimulator);
 //   - the River mechanisms the paper's related work discusses
 //     (NewRiverQueue, NewGraduatedDecluster) and the WiND network storage
 //     volume its future work proposes (NewWindVolume), whose placement
 //     consults the notification registry.
 //
 // Everything — devices, RAID, River, WiND, and the cluster runtime —
-// runs on the deterministic discrete-event kernel in Sim, so every result
-// is a pure function of its configuration. The Experiments function
+// runs on the deterministic discrete-event kernel, so every result is a
+// pure function of its configuration. The switch fabric, worker pool and
+// DHT take the sharded form of that kernel (ShardedSimulator), whose
+// results are byte-identical at every shard count; a 1-shard kernel
+// built with NewShardedSimulator(1, lookahead) is the single-threaded
+// case. The Experiments function
 // exposes the full reproduction suite (see EXPERIMENTS.md).
 package failstutter
 
@@ -73,10 +78,22 @@ type (
 	Station = sim.Station
 	// RNG is the seeded random stream used throughout.
 	RNG = sim.RNG
+	// ShardedSimulator partitions one simulation across shard kernels that
+	// advance together through conservative safe windows; the switch,
+	// worker pool and DHT run on it.
+	ShardedSimulator = sim.ShardedSimulator
 )
 
 // NewSimulator returns a simulator with its clock at zero.
 func NewSimulator() *Simulator { return sim.New() }
+
+// NewShardedSimulator returns a kernel of the given number of shards with
+// the given lookahead — the minimum delay of any cross-shard interaction,
+// which also sets the barrier engine's dispatch granularity. Pools and
+// DHTs conventionally use their quantum, switches their wire latency.
+func NewShardedSimulator(shards int, lookahead float64) *ShardedSimulator {
+	return sim.NewSharded(shards, lookahead)
+}
 
 // NewRNG returns a deterministic random stream for the given seed.
 func NewRNG(seed uint64) *RNG { return sim.NewRNG(seed) }
@@ -148,8 +165,9 @@ func NewDisk(s *Simulator, p DiskParams) (*Disk, error) { return device.NewDisk(
 // HawkParams returns parameters modelled on the paper's Seagate Hawk.
 func HawkParams(name string) DiskParams { return device.HawkParams(name) }
 
-// NewSwitch builds a simulated crossbar switch.
-func NewSwitch(s *Simulator, p SwitchParams) *Switch { return device.NewSwitch(s, p) }
+// NewSwitch builds a simulated crossbar switch on the sharded kernel; the
+// kernel's lookahead must not exceed the switch's wire latency.
+func NewSwitch(ss *ShardedSimulator, p SwitchParams) *Switch { return device.NewSwitch(ss, p) }
 
 // Storage layer (the Section 3.2 worked example).
 type (
@@ -218,9 +236,11 @@ type (
 	DHTParams = cluster.DHTParams
 )
 
-// NewPool builds n workers on the simulator with the given work-unit
+// NewPool builds n workers on the sharded kernel with the given work-unit
 // quantum (the virtual time one unit costs at speed 1).
-func NewPool(s *Simulator, n int, quantum float64) *Pool { return cluster.NewPool(s, n, quantum) }
+func NewPool(ss *ShardedSimulator, n int, quantum float64) *Pool {
+	return cluster.NewPool(ss, n, quantum)
+}
 
 // Schedulers returns the standard comparison set, least to most
 // fail-stutter aware.
@@ -229,8 +249,8 @@ func Schedulers() []Scheduler { return cluster.Schedulers() }
 // UniformTasks builds n tasks of equal size.
 func UniformTasks(n, units int) []Task { return cluster.UniformTasks(n, units) }
 
-// NewDHT builds a replicated hash table on the simulator.
-func NewDHT(s *Simulator, p DHTParams) *DHT { return cluster.NewDHT(s, p) }
+// NewDHT builds a replicated hash table on the sharded kernel.
+func NewDHT(ss *ShardedSimulator, p DHTParams) *DHT { return cluster.NewDHT(ss, p) }
 
 // WiND layer (Section 5's target system, prototyped): a replicated
 // network storage volume whose placement consults the registry.

@@ -128,7 +128,7 @@ func TestPublicAPIClusterSchedulers(t *testing.T) {
 			if sched.Name() != name {
 				continue
 			}
-			pool := failstutter.NewPool(failstutter.NewSimulator(), 4, quantum)
+			pool := failstutter.NewPool(failstutter.NewShardedSimulator(1, quantum), 4, quantum)
 			pool.Workers()[0].SetSpeed(0.25)
 			return sched.Run(pool, failstutter.UniformTasks(48, 60))
 		}

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"failstutter/internal/sim"
 	"failstutter/internal/trace"
@@ -44,10 +44,15 @@ func (r BSPReport) String() string {
 	return fmt.Sprintf("bsp(%s): %d rounds in %.3fs", kind, r.Params.Rounds, r.Makespan)
 }
 
-// RunBSP executes the computation on the pool's simulator and returns
-// when the final barrier clears. Barriers are pure events — a round ends
-// at the instant its last worker finishes — so a straggler's tax on each
-// round is exact, with no polling or OS scheduling in between.
+// RunBSP executes the computation on the pool's coordinator and returns
+// when the final barrier clears. Workers record superstep arrivals
+// shard-locally; the coordinator's barrier settles them in (time, worker)
+// order — elastic pulls are granted in that order, the placement-invariant
+// analogue of completion order — and the next round (or next grain) is
+// dispatched at the window horizon. A round therefore ends at the exact
+// event time its last worker arrived, while the next begins at most one
+// lookahead later; once the final round clears, nothing is dispatched and
+// the coordinator drains naturally.
 func RunBSP(p *Pool, params BSPParams) BSPReport {
 	if params.Rounds < 1 || params.UnitsPerWorkerRound < 1 {
 		panic(fmt.Sprintf("cluster: invalid BSP params %+v", params))
@@ -56,13 +61,10 @@ func RunBSP(p *Pool, params BSPParams) BSPReport {
 	if grain < 1 {
 		grain = 20
 	}
-	if p.ss != nil {
-		return runBSPSharded(p, params, grain)
-	}
-	s := p.sim
 	n := p.Size()
-	start := s.Now()
+	start := p.ss.Now()
 	before := snapshotUnits(p)
+	comp := newCompletions(p.ss.Shards())
 
 	var (
 		round     int
@@ -73,139 +75,8 @@ func RunBSP(p *Pool, params BSPParams) BSPReport {
 	)
 
 	// Each superstep is one span on the "bsp" track, opened when the round
-	// is dispatched and closed the instant its barrier clears — the span
-	// length *is* the straggler tax made visible.
-	tr := p.tracer
-	var bspTrack trace.TrackID
-	var roundSpan trace.SpanID
-	if tr != nil {
-		bspTrack = tr.Track("bsp")
-	}
-	barrierClear := func() {
-		if tr != nil {
-			tr.End(roundSpan, s.Now())
-		}
-	}
-
-	finishJob := func() {
-		done = true
-		doneAt = s.Now()
-		s.Stop()
-	}
-
-	var startRound func()
-
-	if params.Elastic {
-		// Pull a grain from the round's pool; leave the barrier only when
-		// the pool is empty.
-		pull := func(w *Worker) {
-			if remaining <= 0 {
-				barrier--
-				if barrier == 0 {
-					barrierClear()
-					round++
-					if round == params.Rounds {
-						finishJob()
-						return
-					}
-					startRound()
-				}
-				return
-			}
-			g := float64(grain)
-			if g > remaining {
-				g = remaining
-			}
-			remaining -= g
-			w.exec(g)
-		}
-		startRound = func() {
-			barrier = n
-			remaining = float64(params.UnitsPerWorkerRound) * float64(n)
-			if tr != nil {
-				roundSpan = tr.Begin(bspTrack, fmt.Sprintf("superstep-%d", round), "bsp", 0, s.Now())
-			}
-			for _, w := range p.workers {
-				pull(w)
-			}
-		}
-		for _, w := range p.workers {
-			w.finish = pull
-		}
-	} else {
-		// Each worker owns its full per-round share; the barrier clears
-		// when the slowest finishes.
-		arrive := func(*Worker) {
-			barrier--
-			if barrier == 0 {
-				barrierClear()
-				round++
-				if round == params.Rounds {
-					finishJob()
-					return
-				}
-				startRound()
-			}
-		}
-		startRound = func() {
-			barrier = n
-			if tr != nil {
-				roundSpan = tr.Begin(bspTrack, fmt.Sprintf("superstep-%d", round), "bsp", 0, s.Now())
-			}
-			for _, w := range p.workers {
-				w.exec(float64(params.UnitsPerWorkerRound))
-			}
-		}
-		for _, w := range p.workers {
-			w.finish = arrive
-		}
-	}
-
-	startRound()
-	s.Run()
-	for _, w := range p.workers {
-		w.finish = nil
-	}
-	if !done {
-		panic(fmt.Sprintf("cluster: BSP stalled in round %d with %d workers short of the barrier", round, barrier))
-	}
-	return BSPReport{
-		Params:         params,
-		Makespan:       doneAt - start,
-		PerWorkerUnits: perWorkerUnits(p, before),
-	}
-}
-
-// runBSPSharded is the barrier-engine form of RunBSP: workers record
-// superstep arrivals shard-locally, the coordinator's barrier settles them
-// in (time, worker) order — elastic pulls are granted in that order, the
-// placement-invariant analogue of completion order — and the next round
-// (or next grain) is dispatched at the window horizon. A round therefore
-// ends at the exact event time its last worker arrived, while the next
-// begins at most one lookahead later; once the final round clears, nothing
-// is dispatched and the coordinator drains naturally.
-func runBSPSharded(p *Pool, params BSPParams, grain int) BSPReport {
-	ss := p.ss
-	n := p.Size()
-	start := ss.Now()
-	before := snapshotUnits(p)
-
-	comp := make([][]completionRec, ss.Shards())
-	for _, w := range p.workers {
-		w := w
-		w.finish = func(*Worker) {
-			comp[w.shard] = append(comp[w.shard], completionRec{at: w.sim.Now(), w: w.id})
-		}
-	}
-
-	var (
-		round     int
-		barrier   int
-		remaining float64
-		done      bool
-		doneAt    sim.Time
-	)
-
+	// is dispatched and closed at the event time its barrier clears — the
+	// span length *is* the straggler tax made visible.
 	tr := p.tracer
 	var bspTrack trace.TrackID
 	var roundSpan trace.SpanID
@@ -213,12 +84,12 @@ func runBSPSharded(p *Pool, params BSPParams, grain int) BSPReport {
 		bspTrack = tr.Track("bsp")
 	}
 
-	execAt := func(w *Worker, at sim.Time, units float64) {
-		if at > w.sim.Now() {
-			w.sim.At(at, func() { w.exec(units) })
-		} else {
-			w.exec(units)
-		}
+	// pull takes the next grain from the round's pool, or 0 once it is
+	// empty.
+	pull := func() float64 {
+		g := math.Min(float64(grain), remaining)
+		remaining -= g
+		return g
 	}
 	startRoundAt := func(at sim.Time) {
 		barrier = n
@@ -229,20 +100,14 @@ func runBSPSharded(p *Pool, params BSPParams, grain int) BSPReport {
 			roundSpan = tr.Begin(bspTrack, fmt.Sprintf("superstep-%d", round), "bsp", 0, at)
 		}
 		for _, w := range p.workers {
+			units := float64(params.UnitsPerWorkerRound)
 			if params.Elastic {
-				g := float64(grain)
-				if g > remaining {
-					g = remaining
-				}
-				if g <= 0 {
+				if units = pull(); units <= 0 {
 					barrier--
 					continue
 				}
-				remaining -= g
-				execAt(w, at, g)
-			} else {
-				execAt(w, at, float64(params.UnitsPerWorkerRound))
 			}
+			w.execAt(at, units)
 		}
 	}
 	// arrive settles one worker's barrier arrival at event time at,
@@ -263,40 +128,19 @@ func runBSPSharded(p *Pool, params BSPParams, grain int) BSPReport {
 		}
 		startRoundAt(h)
 	}
-
-	var merged []completionRec
-	ss.SetBarrier(func(h sim.Time) {
-		merged = merged[:0]
-		for shard := range comp {
-			merged = append(merged, comp[shard]...)
-			comp[shard] = comp[shard][:0]
-		}
-		sort.Slice(merged, func(i, j int) bool {
-			if merged[i].at != merged[j].at {
-				return merged[i].at < merged[j].at
-			}
-			return merged[i].w < merged[j].w
-		})
-		for _, rec := range merged {
+	settle := func(h sim.Time) {
+		for _, rec := range comp.drain() {
+			// Elastic workers leave the barrier only once the round's pool
+			// is empty.
 			if params.Elastic && remaining > 0 {
-				g := float64(grain)
-				if g > remaining {
-					g = remaining
-				}
-				remaining -= g
-				execAt(p.workers[rec.w], h, g)
+				p.workers[rec.w].execAt(h, pull())
 				continue
 			}
 			arrive(rec.at, h)
 		}
-	})
-
-	startRoundAt(start)
-	ss.Run()
-	ss.SetBarrier(nil)
-	for _, w := range p.workers {
-		w.finish = nil
 	}
+
+	p.drive(comp.record, settle, func() { startRoundAt(start) })
 	if !done {
 		panic(fmt.Sprintf("cluster: BSP stalled in round %d with %d workers short of the barrier", round, barrier))
 	}

@@ -8,9 +8,9 @@ import (
 )
 
 func TestBSPCompletesAllWork(t *testing.T) {
-	s := sim.New()
-	p := NewPool(s, 4, q)
-	r := RunBSP(p, BSPParams{Rounds: 3, UnitsPerWorkerRound: 40})
+	r := acrossShards(t, func(ss *sim.ShardedSimulator) BSPReport {
+		return RunBSP(NewPool(ss, 4, q), BSPParams{Rounds: 3, UnitsPerWorkerRound: 40})
+	})
 	var sum float64
 	for _, u := range r.PerWorkerUnits {
 		sum += u
@@ -21,16 +21,17 @@ func TestBSPCompletesAllWork(t *testing.T) {
 	if !strings.Contains(r.String(), "static") {
 		t.Fatalf("report string %q", r.String())
 	}
-	// All healthy: each round is exactly 40q, barriers cost nothing.
-	if !near(r.Makespan, 3*40*q) {
-		t.Fatalf("makespan = %v, want %v", r.Makespan, 3*40*q)
+	// All healthy: each round is exactly 40q, and each of the 2 later
+	// rounds starts at the horizon one lookahead after the barrier clears.
+	if want := 3*40*q + 2*L; !near(r.Makespan, want) {
+		t.Fatalf("makespan = %v, want %v", r.Makespan, want)
 	}
 }
 
 func TestBSPElasticCompletesAllWork(t *testing.T) {
-	s := sim.New()
-	p := NewPool(s, 4, q)
-	r := RunBSP(p, BSPParams{Rounds: 3, UnitsPerWorkerRound: 40, Elastic: true})
+	r := acrossShards(t, func(ss *sim.ShardedSimulator) BSPReport {
+		return RunBSP(NewPool(ss, 4, q), BSPParams{Rounds: 3, UnitsPerWorkerRound: 40, Elastic: true})
+	})
 	var sum float64
 	for _, u := range r.PerWorkerUnits {
 		sum += u
@@ -48,15 +49,18 @@ func TestBSPBarrierGatedBySlowWorker(t *testing.T) {
 	// round; elastic BSP redistributes within rounds and stays close to
 	// healthy.
 	run := func(elastic bool) sim.Duration {
-		s := sim.New()
-		p := NewPool(s, 4, q)
-		p.Workers()[0].SetSpeed(0.25)
-		return RunBSP(p, BSPParams{Rounds: 4, UnitsPerWorkerRound: 60, Elastic: elastic, Grain: 20}).Makespan
+		return acrossShards(t, func(ss *sim.ShardedSimulator) BSPReport {
+			p := NewPool(ss, 4, q)
+			p.Workers()[0].SetSpeed(0.25)
+			return RunBSP(p, BSPParams{Rounds: 4, UnitsPerWorkerRound: 60, Elastic: elastic, Grain: 20})
+		}).Makespan
 	}
 	static := run(false)
 	elastic := run(true)
-	if !near(static, 4*60*q/0.25) {
-		t.Fatalf("static makespan = %v, want exactly %v", static, 4*60*q/0.25)
+	// 4 rounds of 60 units at quarter speed, the 3 later ones starting one
+	// lookahead after their barrier clears.
+	if want := 4*60*q/0.25 + 3*L; !near(static, want) {
+		t.Fatalf("static makespan = %v, want exactly %v", static, want)
 	}
 	if elastic*2 > static {
 		t.Fatalf("elastic BSP %v not clearly below static %v with a slow worker",
@@ -65,10 +69,11 @@ func TestBSPBarrierGatedBySlowWorker(t *testing.T) {
 }
 
 func TestBSPElasticSkewsWorkToFastWorkers(t *testing.T) {
-	s := sim.New()
-	p := NewPool(s, 4, q)
-	p.Workers()[0].SetSpeed(0.2)
-	r := RunBSP(p, BSPParams{Rounds: 2, UnitsPerWorkerRound: 60, Elastic: true, Grain: 20})
+	r := acrossShards(t, func(ss *sim.ShardedSimulator) BSPReport {
+		p := NewPool(ss, 4, q)
+		p.Workers()[0].SetSpeed(0.2)
+		return RunBSP(p, BSPParams{Rounds: 2, UnitsPerWorkerRound: 60, Elastic: true, Grain: 20})
+	})
 	slow := r.PerWorkerUnits[0]
 	for i, u := range r.PerWorkerUnits[1:] {
 		if slow >= u {
@@ -77,20 +82,24 @@ func TestBSPElasticSkewsWorkToFastWorkers(t *testing.T) {
 	}
 }
 
+// TestBSPDeterministic: static and elastic BSP reports are bitwise
+// repeatable and identical at every shard count, with a transient hog
+// restored mid-run.
 func TestBSPDeterministic(t *testing.T) {
-	run := func() BSPReport {
-		s := sim.New()
-		p := NewPool(s, 4, q)
-		p.Hog(0, 0.25, 3e-3)
-		return RunBSP(p, BSPParams{Rounds: 4, UnitsPerWorkerRound: 60, Elastic: true, Grain: 20})
-	}
-	a, b := run(), run()
-	if a.Makespan != b.Makespan {
-		t.Fatalf("BSP not deterministic: %v vs %v", a.Makespan, b.Makespan)
-	}
-	for i := range a.PerWorkerUnits {
-		if a.PerWorkerUnits[i] != b.PerWorkerUnits[i] {
-			t.Fatalf("per-worker units differ at %d: %v vs %v", i, a.PerWorkerUnits[i], b.PerWorkerUnits[i])
+	for _, elastic := range []bool{false, true} {
+		run := func(ss *sim.ShardedSimulator) BSPReport {
+			p := NewPool(ss, 4, q)
+			p.Hog(0, 0.25, 3e-3)
+			return RunBSP(p, BSPParams{Rounds: 4, UnitsPerWorkerRound: 60, Elastic: elastic, Grain: 20})
+		}
+		a, b := acrossShards(t, run), acrossShards(t, run)
+		if a.Makespan != b.Makespan {
+			t.Fatalf("BSP (elastic %v) not deterministic: %v vs %v", elastic, a.Makespan, b.Makespan)
+		}
+		for i := range a.PerWorkerUnits {
+			if a.PerWorkerUnits[i] != b.PerWorkerUnits[i] {
+				t.Fatalf("per-worker units differ at %d: %v vs %v", i, a.PerWorkerUnits[i], b.PerWorkerUnits[i])
+			}
 		}
 	}
 }
@@ -101,5 +110,5 @@ func TestBSPInvalidParamsPanics(t *testing.T) {
 			t.Fatal("invalid BSP params did not panic")
 		}
 	}()
-	RunBSP(NewPool(sim.New(), 2, q), BSPParams{})
+	RunBSP(NewPool(newSharded(1), 2, q), BSPParams{})
 }

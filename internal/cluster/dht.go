@@ -34,14 +34,15 @@ type DHTParams struct {
 	Threshold float64
 }
 
-// DHT is the running structure, entirely event-driven on its simulator:
-// node service, replication acks, GC pauses, and the detector are all
-// simulator events. Create with NewDHT, then drive with RunLoad, or with
-// Put followed by running the simulator.
+// DHT is the running structure, entirely event-driven on its home shard's
+// kernel: node service, replication acks, GC pauses, and the detector are
+// all simulator events. Create with NewDHT, then drive with RunLoad, or
+// with Put followed by running the coordinator.
 type DHT struct {
 	p     DHTParams
-	sim   *sim.Simulator
-	ss    *sim.ShardedSimulator // non-nil when built with NewShardedDHT
+	ss    *sim.ShardedSimulator
+	home  int            // the shard the whole table is pinned to
+	sim   *sim.Simulator // the home shard's kernel
 	nodes []*DHTNode
 	flags []bool
 	hints int64
@@ -137,8 +138,15 @@ type ackGroup struct {
 	span trace.SpanID
 }
 
-// NewDHT builds the table on the simulator.
-func NewDHT(s *sim.Simulator, p DHTParams) *DHT {
+// NewDHT builds the table under the coordinator, pinned as a group to the
+// shard its identity ("dht") hashes to. The pin is load-borne, not
+// incidental: a synchronous put's ack path closes the moment the last
+// replica write completes — a zero-latency interaction that admits no
+// positive lookahead — so the bricks cannot be split across shards. Running
+// under the coordinator still matters: the table shares the fleet's window
+// clock with whatever else the experiment runs, and its results are
+// trivially byte-identical at every shard count.
+func NewDHT(ss *sim.ShardedSimulator, p DHTParams) *DHT {
 	if p.Nodes < 1 || p.Replication < 1 || p.Replication > p.Nodes || p.OpQuantum <= 0 {
 		panic("cluster: invalid DHT params")
 	}
@@ -148,8 +156,12 @@ func NewDHT(s *sim.Simulator, p DHTParams) *DHT {
 	if p.SampleEvery <= 0 {
 		p.SampleEvery = 20 * p.OpQuantum
 	}
+	home := ss.ShardFor("dht")
+	s := ss.Shard(home)
 	d := &DHT{
 		p:          p,
+		ss:         ss,
+		home:       home,
 		sim:        s,
 		flags:      make([]bool, p.Nodes),
 		lastUnits:  make([]float64, p.Nodes),
@@ -165,34 +177,16 @@ func NewDHT(s *sim.Simulator, p DHTParams) *DHT {
 	return d
 }
 
-// NewShardedDHT builds the table under a sharded coordinator, pinned as a
-// group to the shard its identity ("dht") hashes to. The pin is load-borne,
-// not incidental: a synchronous put's ack path closes the moment the last
-// replica write completes — a zero-latency interaction that admits no
-// positive lookahead — so the bricks cannot be split across shards. Running
-// under the coordinator still matters: the table shares the fleet's window
-// clock with whatever else the experiment runs, and its results are
-// trivially byte-identical at every shard count.
-func NewShardedDHT(ss *sim.ShardedSimulator, p DHTParams) *DHT {
-	d := NewDHT(ss.Shard(ss.ShardFor("dht")), p)
-	d.ss = ss
-	return d
-}
-
-// Sim returns the simulator the table runs on — its home shard's kernel
-// when built with NewShardedDHT.
-func (d *DHT) Sim() *sim.Simulator { return d.sim }
-
 // SetTracer attaches a span tracer: every node's station records its
 // queue/service spans, each put records an ack-group span on the "dht"
 // track from issue to acknowledgment (the key as the span arg), and every
 // hinted-handoff release is an instant. A nil tracer detaches.
 func (d *DHT) SetTracer(t *trace.Tracer) {
-	// A sharded DHT lives entirely on its home shard; with per-shard
-	// collectors installed, its spans record there and MergeTelemetry
-	// folds them into the tracer passed here.
-	if t != nil && d.ss != nil {
-		if st := d.ss.ShardTracer(d.ss.ShardFor("dht")); st != nil {
+	// The DHT lives entirely on its home shard; with per-shard collectors
+	// installed, its spans record there and MergeTelemetry folds them into
+	// the tracer passed here.
+	if t != nil {
+		if st := d.ss.ShardTracer(d.home); st != nil {
 			t = st
 		}
 	}
@@ -212,8 +206,8 @@ func (d *DHT) EnableAudit(log *trace.AuditLog) {
 	// Same redirect as SetTracer: node verdicts are issued on the home
 	// shard, so they record into its audit collector and reach the log
 	// passed here through the deterministic (time, component) merge.
-	if log != nil && d.ss != nil {
-		if sa := d.ss.ShardAudit(d.ss.ShardFor("dht")); sa != nil {
+	if log != nil {
+		if sa := d.ss.ShardAudit(d.home); sa != nil {
 			log = sa
 		}
 	}
@@ -454,9 +448,10 @@ func (d *DHT) sample() {
 // RunLoad drives the table with the given number of closed-loop clients
 // for the virtual duration, using sequential keys per client (uniform
 // placement). Each client issues its next put the instant the previous
-// one is acknowledged. The simulator runs until every put issued before
+// one is acknowledged. The coordinator runs until every put issued before
 // the deadline has been acknowledged; it returns the number of
-// acknowledged puts.
+// acknowledged puts. RunLoad owns the coordinator's barrier hook for its
+// duration.
 func (d *DHT) RunLoad(clients int, duration sim.Duration) int64 {
 	if clients < 1 || duration <= 0 {
 		panic("cluster: RunLoad needs at least one client and a positive duration")
@@ -466,6 +461,16 @@ func (d *DHT) RunLoad(clients int, duration sim.Duration) int64 {
 	deadline := s.Now() + duration
 	active := clients
 	loadRunning := true
+	// An armed GC schedule would keep the home shard's event chain alive
+	// forever, so the run is stopped from the barrier the moment the last
+	// client acknowledges. Counters are untouched by anything after that
+	// ack — stale load ticks see loadRunning false — so the extra events
+	// the final window runs change nothing.
+	d.ss.SetBarrier(func(h sim.Time) {
+		if active == 0 {
+			d.ss.Stop()
+		}
+	})
 	for c := 0; c < clients; c++ {
 		key := uint64(c) << 32
 		var onAck func()
@@ -479,9 +484,6 @@ func (d *DHT) RunLoad(clients int, duration sim.Duration) int64 {
 			active--
 			if active == 0 {
 				loadRunning = false
-				if d.ss == nil {
-					s.Stop()
-				}
 			}
 		}
 		issue()
@@ -506,23 +508,8 @@ func (d *DHT) RunLoad(clients int, duration sim.Duration) int64 {
 		}
 		s.After(d.p.SampleEvery, tick)
 	}
-	if d.ss != nil {
-		// Sharded: the home shard's kernel is driven by the coordinator,
-		// and an armed GC schedule would keep its event chain alive forever,
-		// so the run is stopped from the barrier the moment the last client
-		// acknowledges. Counters are untouched by anything after that ack —
-		// stale load ticks see loadRunning false — so the extra events the
-		// final window runs change nothing.
-		d.ss.SetBarrier(func(h sim.Time) {
-			if active == 0 {
-				d.ss.Stop()
-			}
-		})
-		d.ss.Run()
-		d.ss.SetBarrier(nil)
-	} else {
-		s.Run()
-	}
+	d.ss.Run()
+	d.ss.SetBarrier(nil)
 	if active != 0 {
 		panic(fmt.Sprintf("cluster: DHT load stalled with %d clients blocked (is a replica permanently at speed 0?)", active))
 	}
@@ -533,11 +520,7 @@ func (d *DHT) RunLoad(clients int, duration sim.Duration) int64 {
 // must be cancelled first, or the drain never finishes) and, in adaptive
 // mode, takes one detector sample so flags reflect the drained state.
 func (d *DHT) Settle() {
-	if d.ss != nil {
-		d.ss.Run()
-	} else {
-		d.sim.Run()
-	}
+	d.ss.Run()
 	if d.p.Adaptive {
 		d.sample()
 	}

@@ -10,12 +10,12 @@ import (
 const opQ = sim.Duration(50e-6)
 
 func TestDHTBasicPuts(t *testing.T) {
-	s := sim.New()
-	d := NewDHT(s, DHTParams{Nodes: 4, Replication: 2, OpQuantum: opQ})
+	ss := newSharded(1)
+	d := NewDHT(ss, DHTParams{Nodes: 4, Replication: 2, OpQuantum: opQ})
 	for i := 0; i < 100; i++ {
 		d.Put(uint64(i), nil)
 	}
-	s.Run()
+	ss.Run()
 	if d.Puts() != 100 {
 		t.Fatalf("puts = %d", d.Puts())
 	}
@@ -33,21 +33,21 @@ func TestDHTBasicPuts(t *testing.T) {
 }
 
 func TestDHTPutAckOrdering(t *testing.T) {
-	s := sim.New()
-	d := NewDHT(s, DHTParams{Nodes: 4, Replication: 2, OpQuantum: opQ})
+	ss := newSharded(1)
+	d := NewDHT(ss, DHTParams{Nodes: 4, Replication: 2, OpQuantum: opQ})
 	acked := false
 	d.Put(1, func() { acked = true })
 	if acked {
 		t.Fatal("ack fired before the simulator ran")
 	}
-	s.Run()
+	ss.Run()
 	if !acked {
 		t.Fatal("ack never fired")
 	}
 }
 
 func TestDHTReplicaPlacementSpread(t *testing.T) {
-	d := NewDHT(sim.New(), DHTParams{Nodes: 8, Replication: 2, OpQuantum: opQ})
+	d := NewDHT(newSharded(1), DHTParams{Nodes: 8, Replication: 2, OpQuantum: opQ})
 	counts := make([]int, 8)
 	for k := uint64(0); k < 4000; k++ {
 		for _, r := range d.replicas(k) {
@@ -63,7 +63,7 @@ func TestDHTReplicaPlacementSpread(t *testing.T) {
 }
 
 func TestDHTReplicasDistinct(t *testing.T) {
-	d := NewDHT(sim.New(), DHTParams{Nodes: 4, Replication: 2, OpQuantum: opQ})
+	d := NewDHT(newSharded(1), DHTParams{Nodes: 4, Replication: 2, OpQuantum: opQ})
 	for k := uint64(0); k < 100; k++ {
 		reps := d.replicas(k)
 		if reps[0] == reps[1] {
@@ -77,13 +77,14 @@ func TestDHTReplicasDistinct(t *testing.T) {
 // replication.
 func TestDHTGCCollapsesSyncThroughput(t *testing.T) {
 	run := func(gc bool) int64 {
-		s := sim.New()
-		d := NewDHT(s, DHTParams{Nodes: 4, Replication: 2, OpQuantum: opQ})
-		if gc {
-			cancel := d.StartGC(0, 40e-3, 35e-3)
-			defer cancel()
-		}
-		return d.RunLoad(8, 400e-3)
+		return acrossShards(t, func(ss *sim.ShardedSimulator) int64 {
+			d := NewDHT(ss, DHTParams{Nodes: 4, Replication: 2, OpQuantum: opQ})
+			if gc {
+				cancel := d.StartGC(0, 40e-3, 35e-3)
+				defer cancel()
+			}
+			return d.RunLoad(8, 400e-3)
+		})
 	}
 	healthy := run(false)
 	gced := run(true)
@@ -94,15 +95,16 @@ func TestDHTGCCollapsesSyncThroughput(t *testing.T) {
 
 func TestDHTAdaptiveRidesOutGC(t *testing.T) {
 	run := func(adaptive bool) (puts, hints int64) {
-		s := sim.New()
-		d := NewDHT(s, DHTParams{
-			Nodes: 4, Replication: 2, OpQuantum: opQ,
-			Adaptive: adaptive, SampleEvery: 1e-3,
+		r := acrossShards(t, func(ss *sim.ShardedSimulator) [2]int64 {
+			d := NewDHT(ss, DHTParams{
+				Nodes: 4, Replication: 2, OpQuantum: opQ,
+				Adaptive: adaptive, SampleEvery: 1e-3,
+			})
+			cancel := d.StartGC(0, 40e-3, 35e-3)
+			defer cancel()
+			return [2]int64{d.RunLoad(8, 400e-3), d.Hints()}
 		})
-		cancel := d.StartGC(0, 40e-3, 35e-3)
-		defer cancel()
-		p := d.RunLoad(8, 400e-3)
-		return p, d.Hints()
+		return r[0], r[1]
 	}
 	syncPuts, _ := run(false)
 	adPuts, adHints := run(true)
@@ -115,8 +117,7 @@ func TestDHTAdaptiveRidesOutGC(t *testing.T) {
 }
 
 func TestDHTFlagsClearAfterRecovery(t *testing.T) {
-	s := sim.New()
-	d := NewDHT(s, DHTParams{
+	d := NewDHT(newSharded(1), DHTParams{
 		Nodes: 4, Replication: 2, OpQuantum: opQ,
 		Adaptive: true, SampleEvery: 1e-3,
 	})
@@ -134,22 +135,22 @@ func TestDHTFlagsClearAfterRecovery(t *testing.T) {
 	}
 }
 
+// TestDHTDeterministic: the adaptive DHT under GC yields bitwise
+// repeatable puts and hints, identical at every shard count.
 func TestDHTDeterministic(t *testing.T) {
-	run := func() (int64, int64) {
-		s := sim.New()
-		d := NewDHT(s, DHTParams{
+	run := func(ss *sim.ShardedSimulator) [2]int64 {
+		d := NewDHT(ss, DHTParams{
 			Nodes: 4, Replication: 2, OpQuantum: opQ,
 			Adaptive: true, SampleEvery: 1e-3,
 		})
 		cancel := d.StartGC(0, 40e-3, 35e-3)
 		defer cancel()
 		puts := d.RunLoad(8, 300e-3)
-		return puts, d.Hints()
+		return [2]int64{puts, d.Hints()}
 	}
-	p1, h1 := run()
-	p2, h2 := run()
-	if p1 != p2 || h1 != h2 {
-		t.Fatalf("DHT load not deterministic: %d/%d vs %d/%d puts/hints", p1, h1, p2, h2)
+	a, b := acrossShards(t, run), acrossShards(t, run)
+	if a != b {
+		t.Fatalf("DHT load not deterministic: %v vs %v puts/hints", a, b)
 	}
 }
 
@@ -166,7 +167,7 @@ func TestDHTValidation(t *testing.T) {
 					t.Fatalf("bad params %d accepted", i)
 				}
 			}()
-			NewDHT(sim.New(), p)
+			NewDHT(newSharded(1), p)
 		}()
 	}
 }
@@ -174,8 +175,7 @@ func TestDHTValidation(t *testing.T) {
 func BenchmarkDHTLoad(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := sim.New()
-		d := NewDHT(s, DHTParams{Nodes: 8, Replication: 2, OpQuantum: opQ})
+		d := NewDHT(newSharded(1), DHTParams{Nodes: 8, Replication: 2, OpQuantum: opQ})
 		d.RunLoad(16, 100e-3)
 	}
 }

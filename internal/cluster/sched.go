@@ -47,9 +47,9 @@ func (r Report) String() string {
 }
 
 // Scheduler runs a task set on a pool and reports. Run drives the pool's
-// simulator until every task is claimed, then stops it; fault events the
-// caller scheduled beforehand fire during the run, and events scheduled
-// after the completion instant are left unfired.
+// coordinator until every task is claimed and the coordinator drains;
+// fault events the caller scheduled beforehand fire during the run. Run
+// owns the coordinator's barrier hook for its duration.
 type Scheduler interface {
 	Name() string
 	Run(p *Pool, tasks []Task) Report
@@ -100,18 +100,17 @@ type engine struct {
 	next func(w int) (Task, bool)
 	// monitor, when non-nil, runs every monitorPeriod of virtual time
 	// until the job completes (reissue timeouts, detect-avoid sampling),
-	// with the tick's virtual time — the kernel clock in a serial run, the
-	// tick instant in a sharded one, where the barrier replays ticks.
+	// with the tick's virtual time: the barrier replays the ticks in time
+	// order against the completion stream.
 	monitor       func(now sim.Time)
 	monitorPeriod sim.Duration
 
-	// Sharded-run state (see sharded.go): per-shard completion buffers and
-	// cut-waste accumulators, the merge scratch, per-worker throughput
-	// samples taken at tick times on each worker's own shard, the next
-	// unprocessed monitor tick, and the barrier's current event time and
-	// dispatch horizon.
-	comp       [][]completionRec
-	mergedComp []completionRec
+	// Barrier-engine state (see engine.go): the completion stream,
+	// per-shard cut-waste accumulators, per-worker throughput samples
+	// taken at tick times on each worker's own shard (when needSample),
+	// the next unprocessed monitor tick, and the barrier's current event
+	// time and dispatch horizon.
+	comp       *completions
 	cutWaste   []float64
 	sampled    []float64
 	needSample bool
@@ -164,29 +163,12 @@ func newEngine(name string, p *Pool, tasks []Task) *engine {
 }
 
 // instant records a scheduler decision on the "sched" track when tracing
-// is on. In a sharded run the decision is made at the barrier, where no
-// kernel clock is authoritative; curNow carries the event time being
-// settled.
+// is on. Decisions are made at the barrier, where no kernel clock is
+// authoritative; curNow carries the event time being settled.
 func (e *engine) instant(name string) {
-	if e.tr == nil {
-		return
+	if e.tr != nil {
+		e.tr.Instant(e.trTrack, name, "sched", e.curNow)
 	}
-	at := e.p.sim.Now()
-	if e.p.ss != nil {
-		at = e.curNow
-	}
-	e.tr.Instant(e.trTrack, name, "sched", at)
-}
-
-// unitsNow returns worker i's cumulative units for monitor sampling: the
-// live counter in a serial run, the latest tick-time sample in a sharded
-// one — reading the live counter cross-shard would yield a value dependent
-// on how far the worker's shard happened to run, i.e. on placement.
-func (e *engine) unitsNow(i int) float64 {
-	if e.p.ss != nil {
-		return e.sampled[i]
-	}
-	return e.p.workers[i].UnitsDone()
 }
 
 // contiguousQueues splits tasks into per-worker contiguous equal-count
@@ -199,130 +181,6 @@ func contiguousQueues(tasks []Task, n int) [][]Task {
 		qs[i] = append([]Task(nil), tasks[lo:hi]...)
 	}
 	return qs
-}
-
-// run drives the job to completion on the pool's simulator.
-func (e *engine) run() Report {
-	if e.p.ss != nil {
-		return e.runSharded(e.p.ss.Now())
-	}
-	s := e.p.sim
-	e.start = s.Now()
-	e.startUnits = snapshotUnits(e.p)
-	if e.left == 0 {
-		e.doneAt = e.start
-		e.finished = true
-	} else {
-		for _, w := range e.p.workers {
-			w.finish = e.onFinish
-		}
-		for i := range e.p.workers {
-			e.dispatch(i)
-		}
-		if e.monitor != nil {
-			var tick func()
-			tick = func() {
-				if e.finished {
-					return
-				}
-				e.monitor(s.Now())
-				if !e.finished {
-					s.After(e.monitorPeriod, tick)
-				}
-			}
-			s.After(e.monitorPeriod, tick)
-		}
-		s.Run()
-		for _, w := range e.p.workers {
-			w.finish = nil
-		}
-		if !e.finished {
-			panic(fmt.Sprintf(
-				"cluster: %s job stalled with %d of %d tasks unclaimed (a fully stalled worker holds work no policy will replicate)",
-				e.name, e.left, len(e.byID)))
-		}
-	}
-	return Report{
-		Scheduler:      e.name,
-		Makespan:       e.doneAt - e.start,
-		Tasks:          len(e.byID),
-		PerWorkerUnits: perWorkerUnits(e.p, e.startUnits),
-		WastedUnits:    e.wasted,
-		Duplicates:     e.dups,
-	}
-}
-
-// dispatch hands worker w its next task per the policy, or idles it.
-func (e *engine) dispatch(w int) {
-	if e.finished {
-		return
-	}
-	t, ok := e.next(w)
-	if !ok {
-		e.idle[w] = true
-		return
-	}
-	e.idle[w] = false
-	e.cur[w] = t.ID
-	now := e.p.sim.Now()
-	e.execStart[w] = now
-	if e.firstStart[t.ID] < 0 {
-		e.firstStart[t.ID] = now
-	}
-	e.p.workers[w].exec(float64(t.Units))
-}
-
-// wake re-dispatches idle workers (lowest id first) after new work
-// appears: a monitor requeue or a backlog migration. In a sharded run the
-// wake happens at the barrier and the dispatches land at the window
-// horizon.
-func (e *engine) wake() {
-	for i := range e.p.workers {
-		if e.finished {
-			return
-		}
-		if !e.idle[i] {
-			continue
-		}
-		if e.p.ss != nil {
-			e.dispatchShardedAt(i, e.hNow)
-		} else {
-			e.dispatch(i)
-		}
-	}
-}
-
-// onFinish settles one completed execution: first finisher claims the
-// task, later replicas count as waste, and the worker is re-dispatched.
-func (e *engine) onFinish(w *Worker) {
-	i := w.id
-	id := e.cur[i]
-	e.cur[i] = -1
-	if !e.claimed[id] {
-		e.claimed[id] = true
-		e.left--
-		e.durations = append(e.durations, e.p.sim.Now()-e.execStart[i])
-		if e.left == 0 {
-			e.complete()
-			return
-		}
-	} else {
-		e.wasted += float64(e.byID[id].Units)
-	}
-	e.dispatch(i)
-}
-
-// complete records the makespan, charges in-flight duplicates' partial
-// progress to waste, and stops the simulator.
-func (e *engine) complete() {
-	e.doneAt = e.p.sim.Now()
-	e.finished = true
-	for i, w := range e.p.workers {
-		if e.cur[i] >= 0 {
-			e.wasted += w.st.ServedInCurrent()
-		}
-	}
-	e.p.sim.Stop()
 }
 
 // popOwn pops worker w's next unclaimed task from its own queue.
@@ -400,7 +258,7 @@ func (StaticPartition) Run(p *Pool, tasks []Task) Report {
 	e.queues = contiguousQueues(tasks, p.Size())
 	e.qhead = make([]int, p.Size())
 	e.next = e.popOwn
-	return e.run()
+	return e.run(p.ss.Now())
 }
 
 // GaugedPartition is the scenario-2 analogue for compute: measure each
@@ -429,35 +287,7 @@ func (g GaugedPartition) Run(p *Pool, tasks []Task) Report {
 	// the job is timed from the post-gauge partition, as an install-time
 	// microbenchmark would be).
 	n := p.Size()
-	var speeds []float64
-	var startAt sim.Time
-	if p.ss != nil {
-		speeds, startAt = gaugeSharded(p, probe)
-	} else {
-		s := p.sim
-		speeds = make([]float64, n)
-		t0 := s.Now()
-		remaining := n
-		for _, w := range p.workers {
-			w.finish = func(w *Worker) {
-				speeds[w.id] = float64(probe) / (s.Now() - t0)
-				remaining--
-				if remaining == 0 {
-					s.Stop()
-				}
-			}
-		}
-		for _, w := range p.workers {
-			w.exec(float64(probe))
-		}
-		s.Run()
-		for _, w := range p.workers {
-			w.finish = nil
-		}
-		if remaining != 0 {
-			panic("cluster: gauged-partition probe stalled (a probed worker never finished)")
-		}
-	}
+	speeds, startAt := gauge(p, probe)
 
 	// Proportional contiguous split by measured speed.
 	total := 0.0
@@ -477,13 +307,10 @@ func (g GaugedPartition) Run(p *Pool, tasks []Task) Report {
 		idx += count
 	}
 	e.next = e.popOwn
-	if p.ss != nil {
-		// The gauge stopped the coordinator mid-stream; the job starts at
-		// the horizon of the window that observed the last probe finish —
-		// the placement-invariant analogue of "the instant the gauge ends".
-		return e.runSharded(startAt)
-	}
-	return e.run()
+	// The gauge stopped the coordinator mid-stream; the job starts at the
+	// horizon of the window that observed the last probe finish — the
+	// placement-invariant "instant the gauge ends".
+	return e.run(startAt)
 }
 
 // WorkQueue is the River-style central queue: every idle worker pulls the
@@ -499,7 +326,7 @@ func (WorkQueue) Run(p *Pool, tasks []Task) Report {
 	e := newEngine("work-queue", p, tasks)
 	e.pending = tasks
 	e.next = func(w int) (Task, bool) { return e.popPending() }
-	return e.run()
+	return e.run(p.ss.Now())
 }
 
 // speculative is the shared policy behind Hedged and Reissue: a pull
@@ -558,7 +385,7 @@ func (sp speculative) Run(p *Pool, tasks []Task) Report {
 			}
 		}
 	}
-	return e.run()
+	return e.run(p.ss.Now())
 }
 
 // Hedged is a work queue with tail cloning: when the queue is empty, idle
@@ -713,7 +540,7 @@ func (d DetectAvoid) Run(p *Pool, tasks []Task) Report {
 	e.needSample = true
 	e.monitor = func(now sim.Time) {
 		for i := range p.workers {
-			cur := e.unitsNow(i)
+			cur := e.sampled[i]
 			rates[i] = cur - last[i]
 			last[i] = cur
 		}
@@ -730,7 +557,7 @@ func (d DetectAvoid) Run(p *Pool, tasks []Task) Report {
 			}
 		}
 	}
-	return e.run()
+	return e.run(p.ss.Now())
 }
 
 // Schedulers returns the standard comparison set used by the experiments,

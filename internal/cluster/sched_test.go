@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"failstutter/internal/sim"
@@ -28,10 +29,9 @@ func TestUniformTasks(t *testing.T) {
 }
 
 func TestStaticPartitionCompletesAll(t *testing.T) {
-	s := sim.New()
-	p := NewPool(s, 4, q)
-	tasks := UniformTasks(40, 5)
-	r := StaticPartition{}.Run(p, tasks)
+	r := acrossShards(t, func(ss *sim.ShardedSimulator) Report {
+		return StaticPartition{}.Run(NewPool(ss, 4, q), UniformTasks(40, 5))
+	})
 	if r.Tasks != 40 {
 		t.Fatalf("tasks = %d", r.Tasks)
 	}
@@ -41,16 +41,18 @@ func TestStaticPartitionCompletesAll(t *testing.T) {
 	if r.WastedUnits != 0 || r.Duplicates != 0 {
 		t.Fatalf("static run wasted %v / dup %d", r.WastedUnits, r.Duplicates)
 	}
-	// 10 tasks of 5 units per worker, all healthy: exactly 50q.
-	if !near(r.Makespan, 50*q) {
-		t.Fatalf("makespan = %v, want %v", r.Makespan, 50*q)
+	// 10 tasks of 5 units per worker, all healthy: 50q of work plus 9
+	// barrier dispatches, each landing exactly one lookahead after the
+	// completion that opened its window.
+	if want := 50*q + 9*L; !near(r.Makespan, want) {
+		t.Fatalf("makespan = %v, want %v", r.Makespan, want)
 	}
 }
 
 func TestWorkQueueCompletesAll(t *testing.T) {
-	s := sim.New()
-	p := NewPool(s, 4, q)
-	r := WorkQueue{}.Run(p, UniformTasks(40, 5))
+	r := acrossShards(t, func(ss *sim.ShardedSimulator) Report {
+		return WorkQueue{}.Run(NewPool(ss, 4, q), UniformTasks(40, 5))
+	})
 	if got := sumUnits(r); got != 200 {
 		t.Fatalf("units executed = %v, want 200", got)
 	}
@@ -61,17 +63,19 @@ func TestWorkQueueCompletesAll(t *testing.T) {
 // sheds the imbalance.
 func TestWorkQueueBeatsStaticUnderSlowWorker(t *testing.T) {
 	run := func(sched Scheduler) sim.Duration {
-		s := sim.New()
-		p := NewPool(s, 4, q)
-		p.Workers()[0].SetSpeed(0.2)
-		return sched.Run(p, UniformTasks(60, 40)).Makespan
+		return acrossShards(t, func(ss *sim.ShardedSimulator) Report {
+			p := NewPool(ss, 4, q)
+			p.Workers()[0].SetSpeed(0.2)
+			return sched.Run(p, UniformTasks(60, 40))
+		}).Makespan
 	}
 	static := run(StaticPartition{})
 	queue := run(WorkQueue{})
-	// Static is gated by the slow worker's full share: exactly
-	// 15 tasks x 40 units / 0.2 speed.
-	if !near(static, 15*40*q/0.2) {
-		t.Fatalf("static makespan = %v, want %v", static, 15*40*q/0.2)
+	// Static is gated by the slow worker's full share: 15 tasks x 40
+	// units / 0.2 speed, plus its 14 barrier dispatches at one lookahead
+	// each.
+	if want := 15*40*q/0.2 + 14*L; !near(static, want) {
+		t.Fatalf("static makespan = %v, want %v", static, want)
 	}
 	if queue*2 > static {
 		t.Fatalf("work queue %v not clearly faster than static %v under a slow worker",
@@ -81,10 +85,11 @@ func TestWorkQueueBeatsStaticUnderSlowWorker(t *testing.T) {
 
 func TestGaugedPartitionHandlesStaticSkew(t *testing.T) {
 	run := func(sched Scheduler) sim.Duration {
-		s := sim.New()
-		p := NewPool(s, 4, q)
-		p.Workers()[0].SetSpeed(0.25)
-		return sched.Run(p, UniformTasks(60, 40)).Makespan
+		return acrossShards(t, func(ss *sim.ShardedSimulator) Report {
+			p := NewPool(ss, 4, q)
+			p.Workers()[0].SetSpeed(0.25)
+			return sched.Run(p, UniformTasks(60, 40))
+		}).Makespan
 	}
 	static := run(StaticPartition{})
 	gauged := run(GaugedPartition{ProbeUnits: 40})
@@ -98,10 +103,11 @@ func TestHedgedClonesTail(t *testing.T) {
 	// One worker stalls completely mid-run. Hedged must still finish: the
 	// stranded task is cloned elsewhere and the stalled execution's
 	// partial progress is flushed to waste at completion.
-	s := sim.New()
-	p := NewPool(s, 4, q)
-	s.After(5e-3, func() { p.Workers()[0].SetSpeed(0) })
-	r := Hedged{}.Run(p, UniformTasks(60, 10))
+	r := acrossShards(t, func(ss *sim.ShardedSimulator) Report {
+		p := NewPool(ss, 4, q)
+		p.SetSpeedAt(0, 5e-3, 0)
+		return Hedged{}.Run(p, UniformTasks(60, 10))
+	})
 	if r.Duplicates == 0 {
 		t.Fatal("hedged run cloned nothing despite a stalled worker")
 	}
@@ -112,11 +118,13 @@ func TestHedgedClonesTail(t *testing.T) {
 
 func TestReissueBeatsWorkQueueUnderMidJobStall(t *testing.T) {
 	run := func(sched Scheduler) sim.Duration {
-		s := sim.New()
-		p := NewPool(s, 4, q)
-		// Worker 0 drops to 2% speed 10 virtual ms in and stays degraded.
-		s.After(10e-3, func() { p.Workers()[0].SetSpeed(0.02) })
-		return sched.Run(p, UniformTasks(60, 20)).Makespan
+		return acrossShards(t, func(ss *sim.ShardedSimulator) Report {
+			p := NewPool(ss, 4, q)
+			// Worker 0 drops to 2% speed 10 virtual ms in and stays
+			// degraded.
+			p.SetSpeedAt(0, 10e-3, 0.02)
+			return sched.Run(p, UniformTasks(60, 20))
+		}).Makespan
 	}
 	queue := run(WorkQueue{})
 	reissue := run(Reissue{TimeoutFactor: 3})
@@ -127,10 +135,11 @@ func TestReissueBeatsWorkQueueUnderMidJobStall(t *testing.T) {
 }
 
 func TestReissueExactlyOnceAccounting(t *testing.T) {
-	s := sim.New()
-	p := NewPool(s, 4, q)
-	s.After(5e-3, func() { p.Workers()[0].SetSpeed(0.05) })
-	r := Reissue{TimeoutFactor: 2}.Run(p, UniformTasks(60, 10))
+	r := acrossShards(t, func(ss *sim.ShardedSimulator) Report {
+		p := NewPool(ss, 4, q)
+		p.SetSpeedAt(0, 5e-3, 0.05)
+		return Reissue{TimeoutFactor: 2}.Run(p, UniformTasks(60, 10))
+	})
 	// Work conservation: executed units = required units + wasted units
 	// (to float rounding — partial progress is flushed at completion).
 	if got, want := sumUnits(r), 600+r.WastedUnits; math.Abs(got-want) > 1e-6 {
@@ -140,10 +149,11 @@ func TestReissueExactlyOnceAccounting(t *testing.T) {
 
 func TestDetectAvoidMigratesFromStutterer(t *testing.T) {
 	run := func(sched Scheduler) sim.Duration {
-		s := sim.New()
-		p := NewPool(s, 4, q)
-		p.Workers()[0].SetSpeed(0.1)
-		return sched.Run(p, UniformTasks(60, 40)).Makespan
+		return acrossShards(t, func(ss *sim.ShardedSimulator) Report {
+			p := NewPool(ss, 4, q)
+			p.Workers()[0].SetSpeed(0.1)
+			return sched.Run(p, UniformTasks(60, 40))
+		}).Makespan
 	}
 	static := run(StaticPartition{})
 	da := run(DetectAvoid{})
@@ -153,9 +163,9 @@ func TestDetectAvoidMigratesFromStutterer(t *testing.T) {
 }
 
 func TestDetectAvoidNoFalseMigrationWhenHealthy(t *testing.T) {
-	s := sim.New()
-	p := NewPool(s, 4, q)
-	r := DetectAvoid{}.Run(p, UniformTasks(40, 5))
+	r := acrossShards(t, func(ss *sim.ShardedSimulator) Report {
+		return DetectAvoid{}.Run(NewPool(ss, 4, q), UniformTasks(40, 5))
+	})
 	if got := sumUnits(r); got != 200 {
 		t.Fatalf("units executed = %v, want 200", got)
 	}
@@ -171,28 +181,68 @@ func TestDetectAvoidNoFalseMigrationWhenHealthy(t *testing.T) {
 // worker holding work stalls to speed zero forever — the engine must say
 // so loudly rather than return a bogus report.
 func TestStalledJobPanics(t *testing.T) {
-	s := sim.New()
-	p := NewPool(s, 2, q)
-	p.Workers()[0].SetSpeed(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("stalled static job did not panic")
-		}
+	for _, k := range testShards {
+		func() {
+			p := NewPool(newSharded(k), 2, q)
+			p.Workers()[0].SetSpeed(0)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%d shards: stalled static job did not panic", k)
+				}
+			}()
+			StaticPartition{}.Run(p, UniformTasks(4, 5))
+		}()
+	}
+}
+
+// TestRunKeepsCallerBarrierHook: a job owns the coordinator's barrier
+// hook while it runs, so starting one on a coordinator whose hook another
+// component holds must fail loudly, before touching the pool, and leave
+// that hook in place rather than silently cutting it off.
+func TestRunKeepsCallerBarrierHook(t *testing.T) {
+	ss := newSharded(2)
+	p := NewPool(ss, 4, q)
+	calls := 0
+	ss.SetBarrier(func(sim.Time) { calls++ })
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("scheduler run over a live caller hook did not panic")
+			}
+			if msg, _ := r.(string); !strings.Contains(msg, "barrier hook is already installed") {
+				t.Fatalf("panic %v does not name the hook conflict", r)
+			}
+		}()
+		WorkQueue{}.Run(p, UniformTasks(8, 5))
 	}()
-	StaticPartition{}.Run(p, UniformTasks(4, 5))
+	for _, w := range p.Workers() {
+		if w.Busy() {
+			t.Fatalf("worker %d was dispatched before the conflict was detected", w.ID())
+		}
+	}
+	ss.Shard(0).At(1, func() {})
+	ss.Run()
+	if calls == 0 {
+		t.Fatal("the caller's barrier hook was dropped")
+	}
 }
 
 // TestSchedulersDeterministic: identical configurations produce bitwise
-// identical reports, including under mid-run faults and speculation.
+// identical reports, including under mid-run faults and speculation — at
+// every shard count, where every scheduler's makespan, per-worker units,
+// waste and duplicates must match the 1-shard run exactly.
 func TestSchedulersDeterministic(t *testing.T) {
-	run := func(sched Scheduler) Report {
-		s := sim.New()
-		p := NewPool(s, 4, q)
-		s.After(7e-3, func() { p.Workers()[1].SetSpeed(0.05) })
-		return sched.Run(p, UniformTasks(48, 12))
+	run := func(sched Scheduler) func(*sim.ShardedSimulator) Report {
+		return func(ss *sim.ShardedSimulator) Report {
+			p := NewPool(ss, 4, q)
+			p.SetSpeedAt(1, 7e-3, 0.05)
+			return sched.Run(p, UniformTasks(48, 12))
+		}
 	}
 	for _, sched := range Schedulers() {
-		a, b := run(sched), run(sched)
+		a := acrossShards(t, run(sched))
+		b := acrossShards(t, run(sched))
 		if a.Makespan != b.Makespan || a.WastedUnits != b.WastedUnits || a.Duplicates != b.Duplicates {
 			t.Fatalf("%s not deterministic: %+v vs %+v", sched.Name(), a, b)
 		}

@@ -7,12 +7,14 @@
 // barriers pay the straggler tax, and a replicated hash table whose nodes
 // suffer garbage-collection pauses, after Gribble et al.
 //
-// The runtime executes on the internal/sim virtual-time kernel: each
-// worker is a queueing Station whose speed multiplier is the injection
-// point for CPU hogs, stutter, and crashes, and every barrier, completion
-// claim, and replication ack is a simulator event. Runs are therefore
-// deterministic — byte-identical for a given configuration — and scale to
-// thousands of workers without burning an OS thread per node.
+// The runtime executes on the internal/sim sharded virtual-time kernel:
+// each worker is a queueing Station on its home shard whose speed
+// multiplier is the injection point for CPU hogs, stutter, and crashes;
+// completion claims and superstep barriers are settled at the
+// coordinator's barrier (engine.go), and replication acks are simulator
+// events. Runs are therefore deterministic — byte-identical for a given
+// configuration at every shard count — and scale to thousands of workers
+// without burning an OS thread per node.
 package cluster
 
 import (
@@ -31,9 +33,8 @@ type Worker struct {
 	id int
 	st *sim.Station
 
-	// sim is the kernel the worker's station runs on — the pool's lone
-	// simulator in a serial pool, the worker's home shard in a sharded one.
-	// shard is that home shard's index (0 in a serial pool).
+	// sim is the kernel the worker's station runs on — its home shard;
+	// shard is that shard's index.
 	sim   *sim.Simulator
 	shard int
 
@@ -98,6 +99,18 @@ func (w *Worker) exec(units float64) {
 	w.st.Submit(&w.req)
 }
 
+// execAt starts an execution of the given number of units at the given
+// instant: immediately when the worker's clock is already there (a job's
+// first dispatch), via an event on the worker's own kernel otherwise (a
+// barrier dispatch at the window horizon).
+func (w *Worker) execAt(at sim.Time, units float64) {
+	if at > w.sim.Now() {
+		w.sim.At(at, func() { w.exec(units) })
+		return
+	}
+	w.exec(units)
+}
+
 // reqDone is the station completion callback, bound once at construction.
 func (w *Worker) reqDone(r *sim.Request) {
 	w.doneUnits += r.Size
@@ -107,13 +120,14 @@ func (w *Worker) reqDone(r *sim.Request) {
 	}
 }
 
-// Pool is a set of workers sharing one simulator and work-unit quantum.
-// A sharded pool (NewShardedPool) additionally spreads its workers across
-// the coordinator's shards; jobs running on it dispatch at window barriers
-// instead of completion instants.
+// Pool is a set of workers sharing one work-unit quantum, spread across
+// the shards of a ShardedSimulator. Jobs running on it go through the
+// barrier engine: completions are recorded shard-locally during each safe
+// window and settled — claims, waste, re-dispatch — at the barrier in
+// (time, worker) order, so results are byte-identical at every shard
+// count. A 1-shard coordinator is the degenerate, single-kernel case.
 type Pool struct {
-	sim     *sim.Simulator
-	ss      *sim.ShardedSimulator // nil in a serial pool
+	ss      *sim.ShardedSimulator
 	workers []*Worker
 	quantum sim.Duration
 	// tracer, when non-nil, also records job-level activity (BSP
@@ -122,30 +136,14 @@ type Pool struct {
 	tracer *trace.Tracer
 }
 
-// NewPool builds n workers on the simulator with the given quantum (the
-// virtual time one work unit costs at speed 1).
-func NewPool(s *sim.Simulator, n int, quantum sim.Duration) *Pool {
+// NewPool builds n workers on the coordinator with the given quantum (the
+// virtual time one work unit costs at speed 1), placing worker i on the
+// shard its identity ("worker-<i>") hashes to.
+func NewPool(ss *sim.ShardedSimulator, n int, quantum sim.Duration) *Pool {
 	if n < 1 {
 		panic("cluster: pool needs at least one worker")
 	}
-	p := &Pool{sim: s, quantum: quantum}
-	for i := 0; i < n; i++ {
-		p.workers = append(p.workers, newWorker(s, i, quantum))
-	}
-	return p
-}
-
-// NewShardedPool builds n workers on the sharded coordinator, placing
-// worker i on the shard its identity ("worker-<i>") hashes to. Jobs run on
-// such a pool through the barrier engine: completions are recorded
-// shard-locally during each safe window and settled — claims, waste,
-// re-dispatch — at the barrier in (time, worker) order, so results are
-// byte-identical at every shard count.
-func NewShardedPool(ss *sim.ShardedSimulator, n int, quantum sim.Duration) *Pool {
-	if n < 1 {
-		panic("cluster: pool needs at least one worker")
-	}
-	p := &Pool{sim: ss.Shard(0), ss: ss, quantum: quantum}
+	p := &Pool{ss: ss, quantum: quantum}
 	for i := 0; i < n; i++ {
 		home := ss.ShardFor(fmt.Sprintf("worker-%d", i))
 		w := newWorker(ss.Shard(home), i, quantum)
@@ -155,15 +153,6 @@ func NewShardedPool(ss *sim.ShardedSimulator, n int, quantum sim.Duration) *Pool
 	return p
 }
 
-// Sim returns the simulator the pool runs on. For a sharded pool this is
-// shard 0's kernel — fine for reading time before a run, wrong for
-// scheduling mid-run injections on workers living on other shards; use
-// SetSpeedAt for those.
-func (p *Pool) Sim() *sim.Simulator { return p.sim }
-
-// Sharded returns the sharded coordinator, or nil for a serial pool.
-func (p *Pool) Sharded() *sim.ShardedSimulator { return p.ss }
-
 // Workers returns the pool members.
 func (p *Pool) Workers() []*Worker { return p.workers }
 
@@ -172,7 +161,7 @@ func (p *Pool) Workers() []*Worker { return p.workers }
 // virtual time, and to the pool itself, so jobs running on it (BSP,
 // schedulers) emit their own spans. A nil tracer detaches.
 //
-// On a sharded pool whose coordinator has per-shard collectors installed
+// When the coordinator has per-shard collectors installed
 // (sim.ShardedSimulator.SetTelemetry), the attachment redirects: each
 // worker's station records into its home shard's collector — the only
 // placement where window-time appends stay race-free and lock-free — and
@@ -181,7 +170,7 @@ func (p *Pool) Workers() []*Worker { return p.workers }
 // collector. MergeTelemetry then folds everything back into the tracer
 // passed here.
 func (p *Pool) SetTracer(t *trace.Tracer) {
-	if t != nil && p.ss != nil && p.ss.ShardTracer(0) != nil {
+	if t != nil && p.ss.ShardTracer(0) != nil {
 		p.tracer = p.ss.ShardTracer(0)
 		for _, w := range p.workers {
 			w.st.SetTracer(p.ss.ShardTracer(w.shard))
@@ -214,8 +203,8 @@ func (p *Pool) Hog(i int, speed float64, d sim.Duration) {
 
 // SetSpeedAt schedules a speed change for worker i at the given virtual
 // time on the worker's own kernel — the one place such an injection is
-// safe in a sharded pool, where a foreign shard's clock must not be used
-// to time another worker's fault.
+// safe, since a foreign shard's clock must not be used to time another
+// worker's fault.
 func (p *Pool) SetSpeedAt(i int, at sim.Time, speed float64) {
 	w := p.workers[i]
 	w.sim.At(at, func() { w.SetSpeed(speed) })

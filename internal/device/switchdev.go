@@ -25,11 +25,9 @@ type SwitchParams struct {
 	BufferBytes float64
 	// WireLatency is the one-way propagation delay of every hop between a
 	// node and the crossbar: reserve requests, buffer grants and message
-	// heads each pay one wire crossing. Zero models an instantaneous
-	// fabric — the only mode NewSwitch supports. NewShardedSwitch requires
-	// it positive: the wire is the fabric's minimum cross-port delay and
-	// therefore the conservative lookahead that lets ports run on
-	// different shards.
+	// heads each pay one wire crossing. It must be positive: the wire is
+	// the fabric's minimum cross-port delay and therefore the
+	// conservative lookahead that lets ports run on different shards.
 	WireLatency sim.Duration
 }
 
@@ -39,29 +37,25 @@ type SwitchParams struct {
 // is full. Contended buffer space is granted by route weight, modelling
 // the Myrinet unfairness observation; equal weights yield FIFO fairness.
 //
-// A switch runs in one of two modes. NewSwitch builds the serial mode:
-// every port on one kernel, hops instantaneous. NewShardedSwitch spreads
-// the port groups (sender i + output port i) across the shards of a
-// ShardedSimulator by identity hash; every cross-port hop then travels
-// one WireLatency over the cross-shard data path, and same-time arrivals
-// at an output port are ordered by a placement-invariant mailbox key so
-// results are byte-identical at any shard count.
+// The port groups (sender i + output port i) are spread across the shards
+// of a ShardedSimulator by identity hash; every cross-port hop travels one
+// WireLatency over the cross-shard data path, and same-time arrivals at an
+// output port are ordered by a placement-invariant mailbox key so results
+// are byte-identical at any shard count.
 type Switch struct {
-	s      *sim.Simulator        // serial kernel; nil in sharded mode
-	ss     *sim.ShardedSimulator // sharded coordinator; nil in serial mode
+	ss     *sim.ShardedSimulator
 	params SwitchParams
 	outs   []*outPort
 	sends  []*Sender
-	// shardOf maps port -> shard in sharded mode.
+	// shardOf maps port -> shard.
 	shardOf []int
-	seq     uint64
 }
 
 type outPort struct {
 	kernel   *sim.Simulator
 	station  *sim.Station
 	comp     *faults.Composite
-	mb       *sim.Mailbox // sharded mode: orders same-time arrivals
+	mb       *sim.Mailbox // orders same-time arrivals
 	origin   string
 	buffered float64
 	limit    float64
@@ -84,32 +78,14 @@ type bufWaiter struct {
 	grant  func()
 }
 
-// NewSwitch builds the serial switch and its per-node senders: one
-// kernel, instantaneous hops.
-func NewSwitch(s *sim.Simulator, p SwitchParams) *Switch {
-	validateSwitchParams(p)
-	if p.WireLatency != 0 {
-		panic("device: the serial switch models an instantaneous fabric; use NewShardedSwitch for WireLatency > 0")
-	}
-	sw := &Switch{s: s, params: p}
-	for i := 0; i < p.Ports; i++ {
-		sw.outs = append(sw.outs, newOutPort(s, i, p))
-	}
-	for i := 0; i < p.Ports; i++ {
-		sw.sends = append(sw.sends, newSender(sw, s, i, p))
-	}
-	return sw
-}
-
-// NewShardedSwitch builds the switch across the shards of ss: port group
-// i (sender i and output port i) lives on shard ShardFor("port-i"). The
-// wire latency must be positive and at least the coordinator's lookahead
-// — it is the delay every cross-port interaction pays, which is exactly
-// what makes the parallel windows safe.
-func NewShardedSwitch(ss *sim.ShardedSimulator, p SwitchParams) *Switch {
-	validateSwitchParams(p)
-	if p.WireLatency <= 0 {
-		panic("device: sharded switch needs a positive WireLatency")
+// NewSwitch builds the switch and its per-node senders across the shards
+// of ss: port group i (sender i and output port i) lives on shard
+// ShardFor("port-i"). The wire latency must be at least the coordinator's
+// lookahead — it is the delay every cross-port interaction pays, which is
+// exactly what makes the parallel windows safe.
+func NewSwitch(ss *sim.ShardedSimulator, p SwitchParams) *Switch {
+	if p.Ports < 2 || p.LinkRate <= 0 || p.DrainRate <= 0 || p.BufferBytes <= 0 || !(p.WireLatency > 0) {
+		panic(fmt.Sprintf("device: invalid switch params %+v (WireLatency must be positive)", p))
 	}
 	if ss.Lookahead() > p.WireLatency {
 		panic(fmt.Sprintf("device: lookahead %v exceeds wire latency %v — cross-port sends would violate the bound",
@@ -120,9 +96,7 @@ func NewShardedSwitch(ss *sim.ShardedSimulator, p SwitchParams) *Switch {
 		sw.shardOf[i] = ss.ShardFor(fmt.Sprintf("port-%d", i))
 	}
 	for i := 0; i < p.Ports; i++ {
-		o := newOutPort(ss.Shard(sw.shardOf[i]), i, p)
-		o.mb = sim.NewMailbox(o.kernel)
-		sw.outs = append(sw.outs, o)
+		sw.outs = append(sw.outs, newOutPort(ss.Shard(sw.shardOf[i]), i, p))
 	}
 	for i := 0; i < p.Ports; i++ {
 		sw.sends = append(sw.sends, newSender(sw, ss.Shard(sw.shardOf[i]), i, p))
@@ -130,17 +104,12 @@ func NewShardedSwitch(ss *sim.ShardedSimulator, p SwitchParams) *Switch {
 	return sw
 }
 
-func validateSwitchParams(p SwitchParams) {
-	if p.Ports < 2 || p.LinkRate <= 0 || p.DrainRate <= 0 || p.BufferBytes <= 0 || p.WireLatency < 0 {
-		panic(fmt.Sprintf("device: invalid switch params %+v", p))
-	}
-}
-
 func newOutPort(s *sim.Simulator, i int, p SwitchParams) *outPort {
 	st := sim.NewStation(s, fmt.Sprintf("out-%d", i), p.DrainRate)
 	return &outPort{
 		kernel:  s,
 		station: st,
+		mb:      sim.NewMailbox(s),
 		comp:    faults.NewComposite(st),
 		origin:  fmt.Sprintf("out-%d", i),
 		limit:   p.BufferBytes,
@@ -162,7 +131,7 @@ func newSender(sw *Switch, s *sim.Simulator, i int, p SwitchParams) *Sender {
 
 // SetTracer attaches a span tracer to every port group's stations: the
 // sender links ("link-<i>" tracks) and the output-port drains ("out-<i>"
-// tracks). In sharded mode with per-shard collectors installed
+// tracks). With per-shard collectors installed
 // (sim.ShardedSimulator.SetTelemetry), port group i records into its home
 // shard's collector and the deterministic merge folds everything into the
 // tracer passed here; otherwise all stations record into it directly. A
@@ -170,7 +139,7 @@ func newSender(sw *Switch, s *sim.Simulator, i int, p SwitchParams) *Sender {
 func (sw *Switch) SetTracer(t *trace.Tracer) {
 	for i := range sw.outs {
 		st := t
-		if t != nil && sw.ss != nil {
+		if t != nil {
 			if shardT := sw.ss.ShardTracer(sw.shardOf[i]); shardT != nil {
 				st = shardT
 			}
@@ -206,7 +175,7 @@ func (sw *Switch) TotalDelivered() float64 {
 
 // LastDeliveredAt returns the latest drain-completion instant across all
 // receivers — the completion time of a fully drained workload. Safe to
-// read at a barrier in sharded mode.
+// read at a barrier.
 func (sw *Switch) LastDeliveredAt() sim.Time {
 	t := sim.Time(0)
 	for _, o := range sw.outs {
@@ -220,41 +189,21 @@ func (sw *Switch) LastDeliveredAt() sim.Time {
 // FreezeAt schedules a whole-switch freeze: for the duration, no port
 // drains and no link transmits. This reproduces the Myrinet
 // deadlock-recovery behaviour the paper describes — "halting all switch
-// traffic for two seconds". In sharded mode each port group freezes and
-// thaws via events on its own shard, at the same instants on every
-// shard count.
+// traffic for two seconds". Each port group freezes and thaws via events
+// on its own shard, at the same instants on every shard count.
 func (sw *Switch) FreezeAt(at sim.Time, duration sim.Duration) {
 	const slot = "switch-freeze"
-	if sw.ss != nil {
-		for i := range sw.outs {
-			o, sd := sw.outs[i], sw.sends[i]
-			o.kernel.At(at, func() {
-				o.comp.Set(slot, 0)
-				sd.comp.Set(slot, 0)
-			})
-			o.kernel.At(at+duration, func() {
-				o.comp.Clear(slot)
-				sd.comp.Clear(slot)
-			})
-		}
-		return
-	}
-	sw.s.At(at, func() {
-		for _, o := range sw.outs {
+	for i := range sw.outs {
+		o, sd := sw.outs[i], sw.sends[i]
+		o.kernel.At(at, func() {
 			o.comp.Set(slot, 0)
-		}
-		for _, sd := range sw.sends {
 			sd.comp.Set(slot, 0)
-		}
-		sw.s.After(duration, func() {
-			for _, o := range sw.outs {
-				o.comp.Clear(slot)
-			}
-			for _, sd := range sw.sends {
-				sd.comp.Clear(slot)
-			}
 		})
-	})
+		o.kernel.At(at+duration, func() {
+			o.comp.Clear(slot)
+			sd.comp.Clear(slot)
+		})
+	}
 }
 
 // wire sends fn across the fabric from srcPort's shard to dstPort's
@@ -273,28 +222,9 @@ func (sw *Switch) wireToOut(srcPort, dstPort int, origin string, key uint64, fn 
 	sw.wire(srcPort, dstPort, origin, func() { o.mb.Post(key, fn) })
 }
 
-// reserve asks for buffer space at the destination; it calls grant
-// immediately if space is available, otherwise queues the request by
-// weight. Serial mode only — the sharded path runs arriveReserve on the
-// output port's own shard.
-func (sw *Switch) reserve(dst int, size, weight float64, grant func()) {
-	o := sw.outs[dst]
-	if size > o.limit {
-		panic(fmt.Sprintf("device: message of %v bytes exceeds port buffer %v", size, o.limit))
-	}
-	if o.buffered+size <= o.limit && len(o.waiters) == 0 {
-		o.buffered += size
-		grant()
-		return
-	}
-	sw.seq++
-	o.waiters = append(o.waiters, &bufWaiter{
-		size: size, weight: weight, at: sw.s.Now(), key: sw.seq, grant: grant,
-	})
-}
-
-// arriveReserve is the sharded reserve path, running on the output
-// port's shard when the request crosses the wire.
+// arriveReserve asks for buffer space at the output port, running on the
+// port's shard when the request crosses the wire: it grants immediately if
+// space is available, otherwise queues the request by weight.
 func (o *outPort) arriveReserve(size, weight float64, key uint64, grant func()) {
 	if size > o.limit {
 		panic(fmt.Sprintf("device: message of %v bytes exceeds port buffer %v", size, o.limit))
@@ -343,10 +273,9 @@ type Message struct {
 	Dst  int
 	Size float64
 	// OnDelivered, if non-nil, fires when the receiver finishes draining
-	// the message. In sharded mode it runs on the destination port's
-	// shard and must only touch state owned by that shard; workloads that
-	// need global completion detection read DeliveredBytes at a barrier
-	// instead.
+	// the message. It runs on the destination port's shard and must only
+	// touch state owned by that shard; workloads that need global
+	// completion detection read DeliveredBytes at a barrier instead.
 	OnDelivered func()
 }
 
@@ -440,35 +369,16 @@ func (sd *Sender) next() {
 	}
 	m := sd.queue[0]
 	sd.queue = sd.queue[1:]
-	if sd.sw.ss != nil {
-		sd.nextSharded(m)
-		return
-	}
-	sd.sw.reserve(m.Dst, m.Size, sd.weight, func() {
-		// Space reserved: serialize onto the fabric at link rate...
-		sd.link.SubmitFunc(m.Size, func(*sim.Request) {
-			sd.sent++
-			sd.bytesSent += m.Size
-			// ...then drain at the receiver.
-			out := sd.sw.outs[m.Dst]
-			out.station.SubmitFunc(m.Size, func(*sim.Request) {
-				sd.sw.release(m.Dst, m.Size)
-				if m.OnDelivered != nil {
-					m.OnDelivered()
-				}
-			})
-		})
-		sd.next()
-	})
+	sd.transmit(m)
 }
 
-// nextSharded runs one message through the sharded fabric: the reserve
+// transmit runs one message through the fabric: the reserve
 // request crosses the wire to the output port's shard, the grant crosses
 // back, the link serializes locally, and the message head crosses the
 // wire again before draining at the receiver. Each crossing takes the
 // batched lane path and lands in the port mailbox, so contention is
 // resolved in placement-invariant order.
-func (sd *Sender) nextSharded(m Message) {
+func (sd *Sender) transmit(m Message) {
 	sw := sd.sw
 	o := sw.outs[m.Dst]
 	// Both keys are minted here, on the sender's shard: the waiter key

@@ -7,12 +7,22 @@ import (
 	"failstutter/internal/sim"
 )
 
-func testSwitch(s *sim.Simulator, ports int) *Switch {
-	return NewSwitch(s, SwitchParams{
+// testWire is the test fabrics' one-way wire latency, and with it their
+// coordinators' lookahead.
+const testWire = 1e-3
+
+// newTestSharded builds a 1-shard coordinator for the switch tests: their
+// OnDelivered closures share test state, which a multi-shard run would
+// touch from several shard goroutines.
+func newTestSharded() *sim.ShardedSimulator { return sim.NewSharded(1, testWire) }
+
+func testSwitch(ss *sim.ShardedSimulator, ports int) *Switch {
+	return NewSwitch(ss, SwitchParams{
 		Ports:       ports,
 		LinkRate:    100, // bytes/s
 		DrainRate:   100,
 		BufferBytes: 50,
+		WireLatency: testWire,
 	})
 }
 
@@ -32,11 +42,11 @@ func TestLinkDelivery(t *testing.T) {
 }
 
 func TestSwitchSimpleDelivery(t *testing.T) {
-	s := sim.New()
-	sw := testSwitch(s, 2)
+	ss := newTestSharded()
+	sw := testSwitch(ss, 2)
 	delivered := false
 	sw.Sender(0).Enqueue([]Message{{Dst: 1, Size: 10, OnDelivered: func() { delivered = true }}}, nil)
-	s.Run()
+	ss.Run()
 	if !delivered {
 		t.Fatal("message not delivered")
 	}
@@ -49,8 +59,8 @@ func TestSwitchSimpleDelivery(t *testing.T) {
 }
 
 func TestSwitchInOrderPerSender(t *testing.T) {
-	s := sim.New()
-	sw := testSwitch(s, 2)
+	ss := newTestSharded()
+	sw := testSwitch(ss, 2)
 	var order []int
 	msgs := make([]Message, 5)
 	for i := range msgs {
@@ -58,7 +68,7 @@ func TestSwitchInOrderPerSender(t *testing.T) {
 		msgs[i] = Message{Dst: 1, Size: 10, OnDelivered: func() { order = append(order, i) }}
 	}
 	sw.Sender(0).Enqueue(msgs, nil)
-	s.Run()
+	ss.Run()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("delivery order %v not FIFO", order)
@@ -67,11 +77,11 @@ func TestSwitchInOrderPerSender(t *testing.T) {
 }
 
 func TestSwitchOnIdleFires(t *testing.T) {
-	s := sim.New()
-	sw := testSwitch(s, 2)
+	ss := newTestSharded()
+	sw := testSwitch(ss, 2)
 	idle := false
 	sw.Sender(0).Enqueue([]Message{{Dst: 1, Size: 10}, {Dst: 1, Size: 10}}, func() { idle = true })
-	s.Run()
+	ss.Run()
 	if !idle {
 		t.Fatal("onIdle did not fire")
 	}
@@ -84,8 +94,8 @@ func TestSwitchHOLBlockingOnSlowReceiver(t *testing.T) {
 	// Port 1's receiver is 100x slower. Sender 0 sends to port 1 first,
 	// then to port 2; the second message is head-of-line blocked even
 	// though port 2 is idle.
-	s := sim.New()
-	sw := testSwitch(s, 3)
+	ss := newTestSharded()
+	sw := testSwitch(ss, 3)
 	sw.ReceiverComposite(1).Set("slow", 0.01)
 
 	var fastDelivered sim.Time
@@ -93,10 +103,10 @@ func TestSwitchHOLBlockingOnSlowReceiver(t *testing.T) {
 	msgs := []Message{
 		{Dst: 1, Size: 40},
 		{Dst: 1, Size: 40}, // must wait for buffer space (40+40 > 50)
-		{Dst: 2, Size: 10, OnDelivered: func() { fastDelivered = s.Now() }},
+		{Dst: 2, Size: 10, OnDelivered: func() { fastDelivered = ss.Shard(0).Now() }},
 	}
 	sw.Sender(0).Enqueue(msgs, nil)
-	s.Run()
+	ss.Run()
 	// Without blocking, the 10-byte message to the idle port would arrive
 	// in well under a second. With HOL blocking it waits for the slow
 	// receiver to drain 40 bytes at 1 B/s => tens of seconds.
@@ -108,8 +118,8 @@ func TestSwitchHOLBlockingOnSlowReceiver(t *testing.T) {
 func TestSwitchWeightedUnfairness(t *testing.T) {
 	// Two senders compete for one congested receiver; the favoured route
 	// should complete far more traffic by a fixed horizon.
-	s := sim.New()
-	sw := NewSwitch(s, SwitchParams{Ports: 3, LinkRate: 1000, DrainRate: 10, BufferBytes: 20})
+	ss := newTestSharded()
+	sw := NewSwitch(ss, SwitchParams{Ports: 3, LinkRate: 1000, DrainRate: 10, BufferBytes: 20, WireLatency: testWire})
 	sw.Sender(0).SetWeight(10)
 	sw.Sender(1).SetWeight(1)
 	mk := func(n int) []Message {
@@ -121,7 +131,7 @@ func TestSwitchWeightedUnfairness(t *testing.T) {
 	}
 	sw.Sender(0).Enqueue(mk(100), nil)
 	sw.Sender(1).Enqueue(mk(100), nil)
-	s.RunUntil(100) // receiver drains ~100 bytes = ~10 messages total
+	ss.RunUntil(100) // receiver drains ~100 bytes = ~10 messages total
 	s0, s1 := sw.Sender(0).Sent(), sw.Sender(1).Sent()
 	if s0 <= s1*2 {
 		t.Fatalf("favoured sender %d vs disfavoured %d: unfairness absent", s0, s1)
@@ -129,8 +139,8 @@ func TestSwitchWeightedUnfairness(t *testing.T) {
 }
 
 func TestSwitchFairWithEqualWeights(t *testing.T) {
-	s := sim.New()
-	sw := NewSwitch(s, SwitchParams{Ports: 3, LinkRate: 1000, DrainRate: 10, BufferBytes: 20})
+	ss := newTestSharded()
+	sw := NewSwitch(ss, SwitchParams{Ports: 3, LinkRate: 1000, DrainRate: 10, BufferBytes: 20, WireLatency: testWire})
 	mk := func(n int) []Message {
 		ms := make([]Message, n)
 		for i := range ms {
@@ -140,7 +150,7 @@ func TestSwitchFairWithEqualWeights(t *testing.T) {
 	}
 	sw.Sender(0).Enqueue(mk(50), nil)
 	sw.Sender(1).Enqueue(mk(50), nil)
-	s.RunUntil(200)
+	ss.RunUntil(200)
 	s0, s1 := float64(sw.Sender(0).Sent()), float64(sw.Sender(1).Sent())
 	if math.Abs(s0-s1) > math.Max(2, 0.2*(s0+s1)/2) {
 		t.Fatalf("equal-weight senders diverged: %v vs %v", s0, s1)
@@ -148,34 +158,34 @@ func TestSwitchFairWithEqualWeights(t *testing.T) {
 }
 
 func TestSwitchFreeze(t *testing.T) {
-	s := sim.New()
-	sw := testSwitch(s, 2)
+	ss := newTestSharded()
+	sw := testSwitch(ss, 2)
 	var done sim.Time
-	sw.Sender(0).Enqueue([]Message{{Dst: 1, Size: 50, OnDelivered: func() { done = s.Now() }}}, nil)
-	// Without freeze: 0.5 s link + 0.5 s drain = 1 s. Freeze 2 s in the
-	// middle.
+	sw.Sender(0).Enqueue([]Message{{Dst: 1, Size: 50, OnDelivered: func() { done = ss.Shard(0).Now() }}}, nil)
+	// Without freeze: 0.5 s link + 0.5 s drain + three 1 ms wire
+	// crossings ~ 1 s. Freeze 2 s in the middle.
 	sw.FreezeAt(0.25, 2)
-	s.Run()
+	ss.Run()
 	if done < 2.9 {
 		t.Fatalf("delivery at %v; freeze did not stall traffic", done)
 	}
 }
 
 func TestSwitchOversizeMessagePanics(t *testing.T) {
-	s := sim.New()
-	sw := testSwitch(s, 2)
+	ss := newTestSharded()
+	sw := testSwitch(ss, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("oversize message did not panic")
 		}
 	}()
 	sw.Sender(0).Enqueue([]Message{{Dst: 1, Size: 1000}}, nil)
-	s.Run()
+	ss.Run()
 }
 
 func TestSwitchInvalidDestPanics(t *testing.T) {
-	s := sim.New()
-	sw := testSwitch(s, 2)
+	ss := newTestSharded()
+	sw := testSwitch(ss, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("invalid destination did not panic")
@@ -186,24 +196,41 @@ func TestSwitchInvalidDestPanics(t *testing.T) {
 
 func TestSwitchConservation(t *testing.T) {
 	// All enqueued bytes are eventually delivered, once, regardless of
-	// contention.
-	s := sim.New()
-	sw := NewSwitch(s, SwitchParams{Ports: 4, LinkRate: 500, DrainRate: 50, BufferBytes: 30})
-	total := 0.0
-	for i := 0; i < 4; i++ {
-		var msgs []Message
-		for j := 0; j < 20; j++ {
-			dst := (i + 1 + j) % 4
-			if dst == i {
-				dst = (dst + 1) % 4
+	// contention — and the fabric's outcome is identical however its port
+	// groups are spread across shards.
+	var lastAt sim.Time
+	for _, shards := range []int{1, 2, 3} {
+		ss := sim.NewSharded(shards, testWire)
+		sw := NewSwitch(ss, SwitchParams{Ports: 4, LinkRate: 500, DrainRate: 50, BufferBytes: 30, WireLatency: testWire})
+		total := 0.0
+		for i := 0; i < 4; i++ {
+			var msgs []Message
+			for j := 0; j < 20; j++ {
+				dst := (i + 1 + j) % 4
+				if dst == i {
+					dst = (dst + 1) % 4
+				}
+				msgs = append(msgs, Message{Dst: dst, Size: 10})
+				total += 10
 			}
-			msgs = append(msgs, Message{Dst: dst, Size: 10})
-			total += 10
+			sw.Sender(i).Enqueue(msgs, nil)
 		}
-		sw.Sender(i).Enqueue(msgs, nil)
+		ss.Run()
+		if math.Abs(sw.TotalDelivered()-total) > 1e-9 {
+			t.Fatalf("%d shards: delivered %v of %v bytes", shards, sw.TotalDelivered(), total)
+		}
+		if shards > 1 && sw.LastDeliveredAt() != lastAt {
+			t.Fatalf("%d shards: drained at %v, 1 shard at %v", shards, sw.LastDeliveredAt(), lastAt)
+		}
+		lastAt = sw.LastDeliveredAt()
 	}
-	s.Run()
-	if math.Abs(sw.TotalDelivered()-total) > 1e-9 {
-		t.Fatalf("delivered %v of %v bytes", sw.TotalDelivered(), total)
-	}
+}
+
+func TestSwitchRequiresWireLatency(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("zero wire latency accepted")
+		}
+	}()
+	NewSwitch(newTestSharded(), SwitchParams{Ports: 2, LinkRate: 100, DrainRate: 100, BufferBytes: 50})
 }

@@ -17,7 +17,7 @@ const clusterQuantum = sim.Duration(50e-6)
 // worker's state can matter to anyone else. Cross-worker coordination
 // happens at barriers (not via lookahead-bounded sends), so the value only
 // sets the dispatch granularity: each completion's follow-up dispatch lands
-// at most one quantum later than it would serially.
+// at the window horizon, at most one quantum after the completion.
 const clusterLookahead = clusterQuantum
 
 // shardedCluster builds the coordinator the cluster experiments run on,
@@ -85,7 +85,7 @@ func fmtVirt(d sim.Duration) string { return fmt.Sprintf("%.3fs", d) }
 // this is exactly a bare scheduler run.
 func clusterRunT(cfg Config, tel *Telemetry, name string, sched cluster.Scheduler, tasks []cluster.Task, setup func(*cluster.Pool)) cluster.Report {
 	ss := shardedCluster(cfg, tel)
-	p := cluster.NewShardedPool(ss, 4, clusterQuantum)
+	p := cluster.NewPool(ss, 4, clusterQuantum)
 	if tel != nil {
 		run := tel.nextRun(name)
 		p.SetTracer(tel.Tracer)
@@ -113,7 +113,7 @@ func runE14(cfg Config) *Table {
 	t.Telemetry = tel
 	run := func(name string, gc, adaptive bool) (int64, int64) {
 		ss := shardedCluster(cfg, tel)
-		d := cluster.NewShardedDHT(ss, cluster.DHTParams{
+		d := cluster.NewDHT(ss, cluster.DHTParams{
 			Nodes: 4, Replication: 2, OpQuantum: clusterQuantum,
 			Adaptive: adaptive, SampleEvery: 1e-3,
 		})
@@ -240,7 +240,7 @@ func runE29(cfg Config) *Table {
 	t.Telemetry = tel
 	runBSP := func(name string, params cluster.BSPParams, slowSpeed float64) sim.Duration {
 		ss := shardedCluster(cfg, tel)
-		p := cluster.NewShardedPool(ss, 4, clusterQuantum)
+		p := cluster.NewPool(ss, 4, clusterQuantum)
 		if tel != nil {
 			p.SetTracer(tel.Tracer)
 			tel.attachProfileSharded(ss, tel.nextRun(name))

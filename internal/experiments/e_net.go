@@ -26,7 +26,7 @@ func shardedNet(cfg Config, tel *Telemetry) *sim.ShardedSimulator {
 }
 
 func transposeSwitch(ss *sim.ShardedSimulator, ports int) *device.Switch {
-	return device.NewShardedSwitch(ss, device.SwitchParams{
+	return device.NewSwitch(ss, device.SwitchParams{
 		Ports:       ports,
 		LinkRate:    1e6,
 		DrainRate:   1e6,
@@ -86,7 +86,7 @@ func runE10(cfg Config) *Table {
 		for i := 0; i < tc.slow; i++ {
 			sw.ReceiverComposite(i).Set("slow", tc.speed)
 		}
-		bw := workload.TransposeShardedBandwidth(ss, sw, msg)
+		bw := workload.TransposeBandwidth(ss, sw, msg)
 		tel.endSharded(ss)
 		cfg.observeBarrier(fmt.Sprintf("transpose-slow%d-%.2f", tc.slow, tc.speed), ss)
 		if tc.slow == 0 {
@@ -125,7 +125,7 @@ func runE11(cfg Config) *Table {
 			name = "measure-unfair"
 		}
 		ss := shardedNet(cfg, tel)
-		sw := device.NewShardedSwitch(ss, device.SwitchParams{
+		sw := device.NewSwitch(ss, device.SwitchParams{
 			Ports: ports, LinkRate: 1e6, DrainRate: 0.4e6, BufferBytes: 32 * 1024,
 			WireLatency: switchWire,
 		})
@@ -244,7 +244,7 @@ func runE12(cfg Config) *Table {
 		for i := 0; i < freezes; i++ {
 			sw.FreezeAt(0.3+2.1*float64(i), 2.0)
 		}
-		elapsed := workload.TransposeSharded(ss, sw, msg)
+		elapsed := workload.Transpose(ss, sw, msg)
 		tel.endSharded(ss)
 		cfg.observeBarrier(fmt.Sprintf("freeze-%d", freezes), ss)
 		if freezes == 0 {

@@ -213,7 +213,20 @@ func (ss *ShardedSimulator) Send(src, dst int, at Time, origin string, fn func()
 // home for fleet-wide logic that must observe a consistent cut: it may
 // read any shard's components and schedule follow-up events at or after
 // the horizon.
-func (ss *ShardedSimulator) SetBarrier(fn func(horizon Time)) { ss.barrier = fn }
+//
+// A coordinator has one hook. Installing a non-nil hook while another is
+// live panics and leaves the live one in place: silently replacing it
+// would cut its owner off from every later barrier, a correctness fault
+// that must stop the run rather than skew it. The owner removes its hook
+// with SetBarrier(nil) before another component may install one.
+func (ss *ShardedSimulator) SetBarrier(fn func(horizon Time)) {
+	if fn != nil && ss.barrier != nil {
+		panic("sim: SetBarrier: the coordinator's barrier hook is already installed by another component " +
+			"(two barrier-driven jobs on one coordinator, or a caller hook left in place); " +
+			"the live hook must be removed with SetBarrier(nil) before a new one is installed")
+	}
+	ss.barrier = fn
+}
 
 // Now returns the committed global virtual time: the minimum of the shard
 // clocks. Individual shards may be ahead within the current window.

@@ -207,6 +207,40 @@ func componentChecksums(t *testing.T, shards int) ([]uint64, uint64) {
 // TestShardedDeterminismAcrossShardCounts is the kernel-level version of
 // the suite's byte-identity guarantee: per-component results and the
 // total event count are identical at 1, 2, 4 and 8 shards.
+// TestShardedBarrierHookNotClobbered: a coordinator has one barrier
+// hook. Installing a second over a live one must fail loudly, name the
+// conflict, and leave the live hook running; once its owner removes it
+// with SetBarrier(nil), a new hook installs normally.
+func TestShardedBarrierHookNotClobbered(t *testing.T) {
+	ss := NewSharded(2, 1)
+	first, second := 0, 0
+	ss.SetBarrier(func(Time) { first++ })
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("replacing a live barrier hook did not panic")
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, "barrier hook is already installed") {
+				t.Fatalf("panic %q does not name the hook conflict", msg)
+			}
+		}()
+		ss.SetBarrier(func(Time) { second++ })
+	}()
+	ss.Shard(1).At(0.5, func() {})
+	ss.Run()
+	if first != 1 || second != 0 {
+		t.Fatalf("barrier calls: live hook %d, refused hook %d; want 1 and 0", first, second)
+	}
+	ss.SetBarrier(nil)
+	ss.SetBarrier(func(Time) { second++ })
+	ss.Shard(0).At(2, func() {})
+	ss.Run()
+	if first != 1 || second != 1 {
+		t.Fatalf("after handover: live hook %d, new hook %d calls; want 1 and 1", first, second)
+	}
+}
+
 func TestShardedDeterminismAcrossShardCounts(t *testing.T) {
 	baseSums, baseFired := componentChecksums(t, 1)
 	for _, shards := range []int{2, 4, 8} {

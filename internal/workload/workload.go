@@ -17,57 +17,17 @@ import (
 // communication pattern of Brewer & Kuszmaul's CM-5 study: in round k,
 // node i sends its block to node (i+k) mod N, a schedule that is
 // contention-free when every receiver keeps up. It returns the virtual
-// time from start until every message has drained. The caller owns any
-// fault injection on the switch and must not have other traffic running.
-func Transpose(s *sim.Simulator, sw *device.Switch, msgBytes float64) sim.Duration {
-	n := sw.Params().Ports
-	start := s.Now()
-	totalMsgs := n * (n - 1)
-	delivered := 0
-	var finish sim.Time
-	for i := 0; i < n; i++ {
-		var msgs []device.Message
-		for k := 1; k < n; k++ {
-			dst := (i + k) % n
-			msgs = append(msgs, device.Message{
-				Dst:  dst,
-				Size: msgBytes,
-				OnDelivered: func() {
-					delivered++
-					if delivered == totalMsgs {
-						finish = s.Now()
-					}
-				},
-			})
-		}
-		sw.Sender(i).Enqueue(msgs, nil)
-	}
-	s.Run()
-	if delivered != totalMsgs {
-		panic(fmt.Sprintf("workload: transpose delivered %d of %d messages", delivered, totalMsgs))
-	}
-	return finish - start
-}
-
-// TransposeSharded drives the same all-to-all personalized exchange on a
-// sharded switch: enqueues are identical, but completion is detected at
-// the coordinator's barrier — the single-threaded point with a consistent
-// view of every receiver — by watching total delivered bytes, and the
-// finish instant is the latest drain completion across ports, which is an
-// event time and therefore identical at every shard count. The caller
-// owns fault injection and must not have other traffic or a competing
-// barrier hook running.
-func TransposeSharded(ss *sim.ShardedSimulator, sw *device.Switch, msgBytes float64) sim.Duration {
+// time from start until every message has drained. Completion is detected
+// at the coordinator's barrier — the single-threaded point with a
+// consistent view of every receiver — by watching total delivered bytes,
+// and the finish instant is the latest drain completion across ports,
+// which is an event time and therefore identical at every shard count.
+// The caller owns fault injection and must not have other traffic running;
+// Transpose owns the coordinator's barrier hook for its duration.
+func Transpose(ss *sim.ShardedSimulator, sw *device.Switch, msgBytes float64) sim.Duration {
 	n := sw.Params().Ports
 	start := ss.Now()
 	total := float64(n*(n-1)) * msgBytes
-	for i := 0; i < n; i++ {
-		var msgs []device.Message
-		for k := 1; k < n; k++ {
-			msgs = append(msgs, device.Message{Dst: (i + k) % n, Size: msgBytes})
-		}
-		sw.Sender(i).Enqueue(msgs, nil)
-	}
 	done := false
 	var finish sim.Time
 	ss.SetBarrier(func(h sim.Time) {
@@ -76,30 +36,26 @@ func TransposeSharded(ss *sim.ShardedSimulator, sw *device.Switch, msgBytes floa
 			finish = sw.LastDeliveredAt()
 		}
 	})
+	for i := 0; i < n; i++ {
+		var msgs []device.Message
+		for k := 1; k < n; k++ {
+			msgs = append(msgs, device.Message{Dst: (i + k) % n, Size: msgBytes})
+		}
+		sw.Sender(i).Enqueue(msgs, nil)
+	}
 	ss.Run()
 	ss.SetBarrier(nil)
 	if !done {
-		panic(fmt.Sprintf("workload: sharded transpose delivered %v of %v bytes", sw.TotalDelivered(), total))
+		panic(fmt.Sprintf("workload: transpose delivered %v of %v bytes", sw.TotalDelivered(), total))
 	}
 	return finish - start
 }
 
-// TransposeShardedBandwidth runs TransposeSharded and returns aggregate
-// delivered bandwidth in bytes/second.
-func TransposeShardedBandwidth(ss *sim.ShardedSimulator, sw *device.Switch, msgBytes float64) float64 {
-	n := sw.Params().Ports
-	elapsed := TransposeSharded(ss, sw, msgBytes)
-	if elapsed <= 0 {
-		return math.Inf(1)
-	}
-	return float64(n*(n-1)) * msgBytes / elapsed
-}
-
 // TransposeBandwidth runs Transpose and returns aggregate delivered
 // bandwidth in bytes/second.
-func TransposeBandwidth(s *sim.Simulator, sw *device.Switch, msgBytes float64) float64 {
+func TransposeBandwidth(ss *sim.ShardedSimulator, sw *device.Switch, msgBytes float64) float64 {
 	n := sw.Params().Ports
-	elapsed := Transpose(s, sw, msgBytes)
+	elapsed := Transpose(ss, sw, msgBytes)
 	if elapsed <= 0 {
 		return math.Inf(1)
 	}

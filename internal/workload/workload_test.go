@@ -8,29 +8,44 @@ import (
 	"failstutter/internal/sim"
 )
 
-func newSwitch(s *sim.Simulator, ports int, drain float64) *device.Switch {
-	return device.NewSwitch(s, device.SwitchParams{
+// wire is the test fabrics' one-way wire latency, and with it their
+// coordinators' lookahead.
+const wire = 1e-3
+
+func newSwitch(ss *sim.ShardedSimulator, ports int, drain float64) *device.Switch {
+	return device.NewSwitch(ss, device.SwitchParams{
 		Ports:       ports,
 		LinkRate:    1000,
 		DrainRate:   drain,
 		BufferBytes: 100,
+		WireLatency: wire,
 	})
 }
 
 func TestTransposeCompletesAndTimes(t *testing.T) {
-	s := sim.New()
-	sw := newSwitch(s, 4, 1000)
-	elapsed := Transpose(s, sw, 50)
-	if elapsed <= 0 {
-		t.Fatalf("elapsed = %v", elapsed)
-	}
-	// 4 nodes x 3 messages x 50 bytes = 600 bytes; links and drains at
-	// 1000 B/s with 4-way parallelism: roughly 3 rounds x 0.1 s.
-	if elapsed > 1 {
-		t.Fatalf("healthy transpose took %v, far beyond nominal", elapsed)
-	}
-	if got := sw.TotalDelivered(); got != 600 {
-		t.Fatalf("delivered %v bytes, want 600", got)
+	var first sim.Duration
+	for _, shards := range []int{1, 2, 3} {
+		ss := sim.NewSharded(shards, wire)
+		sw := newSwitch(ss, 4, 1000)
+		elapsed := Transpose(ss, sw, 50)
+		if elapsed <= 0 {
+			t.Fatalf("elapsed = %v", elapsed)
+		}
+		// 4 nodes x 3 messages x 50 bytes = 600 bytes; links and drains
+		// at 1000 B/s with 4-way parallelism: roughly 3 rounds x 0.1 s.
+		if elapsed > 1 {
+			t.Fatalf("healthy transpose took %v, far beyond nominal", elapsed)
+		}
+		if got := sw.TotalDelivered(); got != 600 {
+			t.Fatalf("delivered %v bytes, want 600", got)
+		}
+		// Completion is an event time, so it is identical however the
+		// ports are spread across shards.
+		if shards == 1 {
+			first = elapsed
+		} else if elapsed != first {
+			t.Fatalf("%d shards: transpose took %v, 1 shard %v", shards, elapsed, first)
+		}
 	}
 }
 
@@ -38,10 +53,10 @@ func TestTransposeSlowReceiverCollapses(t *testing.T) {
 	// The CM-5 observation: one receiver at a fraction of link rate drags
 	// the whole all-to-all down by roughly the messages-per-receiver
 	// factor.
-	healthyS := sim.New()
+	healthyS := sim.NewSharded(1, wire)
 	healthy := TransposeBandwidth(healthyS, newSwitch(healthyS, 8, 1000), 50)
 
-	slowS := sim.New()
+	slowS := sim.NewSharded(1, wire)
 	sw := newSwitch(slowS, 8, 1000)
 	sw.ReceiverComposite(3).Set("slow", 0.1)
 	slowed := TransposeBandwidth(slowS, sw, 50)
@@ -55,8 +70,8 @@ func TestTransposeSlowReceiverCollapses(t *testing.T) {
 func TestTransposeBandwidthMonotoneInDrainRate(t *testing.T) {
 	prev := math.Inf(1)
 	for _, drain := range []float64{1000, 500, 250} {
-		s := sim.New()
-		bw := TransposeBandwidth(s, newSwitch(s, 4, drain), 50)
+		ss := sim.NewSharded(1, wire)
+		bw := TransposeBandwidth(ss, newSwitch(ss, 4, drain), 50)
 		if bw > prev+1e-9 {
 			t.Fatalf("bandwidth not monotone in drain rate: %v then %v", prev, bw)
 		}
