@@ -335,7 +335,8 @@ usage:
   fstutter [flags] all
   fstutter [flags] profile <id>...
   fstutter [flags] oracle <id>...
-  fstutter [flags] bench
+  fstutter [flags] bench        (exits 2 if GOMAXPROCS, -shards or
+                                -sweep-workers exceeds the CPU count)
   fstutter [flags] perfdiff <old.json> <new.json>
 
 flags (before or after the subcommand):

@@ -172,6 +172,21 @@ func resolveWorkers(n int) int {
 	return n
 }
 
+// oversubscription returns why a bench run would time threads contending
+// for cores instead of the implementation — more Go threads, shards or
+// sweep workers than the host has CPUs — or "" when none would.
+func oversubscription(gomaxprocs, numcpu, shards, sweepWorkers int) string {
+	switch {
+	case gomaxprocs > numcpu:
+		return fmt.Sprintf("gomaxprocs %d exceeds numcpu %d", gomaxprocs, numcpu)
+	case shards > numcpu:
+		return fmt.Sprintf("-shards %d exceeds numcpu %d", shards, numcpu)
+	case sweepWorkers > numcpu:
+		return fmt.Sprintf("-sweep-workers %d exceeds numcpu %d", sweepWorkers, numcpu)
+	}
+	return ""
+}
+
 // cmdBench measures each target experiment samples times with the
 // testing package's benchmark driver and writes a canonical benchmark
 // artifact to outPath (stdout when empty). Unlike every other artifact,
@@ -184,11 +199,19 @@ func resolveWorkers(n int) int {
 // events/sec, and the serial-vs-sharded speedup. These runs cost tens of
 // seconds each, so they are capped at two samples regardless of
 // -samples.
+//
+// An oversubscribed baseline measures contention, not the code, so
+// cmdBench exits 2 with a one-line reason, before running anything, when
+// GOMAXPROCS, -shards or -sweep-workers exceeds the host's CPU count.
 func cmdBench(cfg experiments.Config, samples int, outPath string) {
 	cfg.Quick = true
 	sweepWorkers := cfg.SweepWorkers
 	if sweepWorkers <= 0 {
 		sweepWorkers = runtime.GOMAXPROCS(0)
+	}
+	if reason := oversubscription(runtime.GOMAXPROCS(0), runtime.NumCPU(), cfg.ShardCount(), sweepWorkers); reason != "" {
+		fmt.Fprintf(os.Stderr, "fstutter bench: refusing to write an oversubscribed baseline: %s\n", reason)
+		os.Exit(2)
 	}
 	art := &profile.BenchArtifact{
 		Schema: profile.BenchSchema, Seed: cfg.Seed, Quick: true,

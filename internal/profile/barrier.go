@@ -30,7 +30,9 @@ type BarrierRun struct {
 	// workload.
 	Delivered uint64
 	// SoloWindows counts windows in which at most one shard had eligible
-	// work — windows with zero parallelism to harvest.
+	// work — windows with zero parallelism to harvest. (Not the same as
+	// the windows that ran inline: the kernel also runs multi-shard
+	// windows inline when they are too small to pay for a fork.)
 	SoloWindows uint64
 	// MaxWindowFired is the largest single-window event count.
 	MaxWindowFired uint64

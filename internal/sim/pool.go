@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 )
@@ -22,6 +23,12 @@ import (
 // ranges), with any cross-worker reduction performed by the caller after
 // Do returns, in worker order.
 //
+// A panic in fn, on any worker, is recovered there; Do waits for every
+// worker to finish and then re-raises the lowest failing worker's panic as
+// a *WorkerPanic naming the worker, the window whose barrier was running
+// (when the pool is a sharded kernel's BarrierPool) and the original
+// stack.
+//
 // A WorkerPool is not itself safe for concurrent Do calls; one barrier
 // hook owns it at a time, which is exactly how the sharded kernel runs.
 type WorkerPool struct {
@@ -31,6 +38,11 @@ type WorkerPool struct {
 	done    sync.WaitGroup
 	started bool
 	closed  bool
+	// panics[w] holds worker w's recovered panic from the current Do.
+	panics []*WorkerPanic
+	// t and h are the window [t, h) whose barrier is running, set by the
+	// owning kernel before each barrier hook; NaN outside one.
+	t, h Time
 }
 
 // NewWorkerPool builds a pool of n workers; n <= 0 means GOMAXPROCS.
@@ -38,7 +50,7 @@ func NewWorkerPool(n int) *WorkerPool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	return &WorkerPool{n: n}
+	return &WorkerPool{n: n, panics: make([]*WorkerPanic, n), t: math.NaN(), h: math.NaN()}
 }
 
 // Workers returns the pool's fan-out.
@@ -50,32 +62,52 @@ func (p *WorkerPool) Do(fn func(worker int)) {
 	if p.closed {
 		panic("sim: Do on a closed WorkerPool")
 	}
-	if p.n == 1 {
-		fn(0)
-		return
-	}
-	if !p.started {
-		p.started = true
-		p.wake = make([]chan struct{}, p.n)
+	p.fn = fn
+	if p.n > 1 {
+		if !p.started {
+			p.started = true
+			p.wake = make([]chan struct{}, p.n)
+			for w := 1; w < p.n; w++ {
+				ch := make(chan struct{}, 1)
+				p.wake[w] = ch
+				go func(w int, ch chan struct{}) {
+					for range ch {
+						p.panics[w] = p.run(w)
+						p.done.Done()
+					}
+				}(w, ch)
+			}
+		}
+		p.done.Add(p.n - 1)
 		for w := 1; w < p.n; w++ {
-			ch := make(chan struct{}, 1)
-			p.wake[w] = ch
-			go func(w int, ch chan struct{}) {
-				for range ch {
-					p.fn(w)
-					p.done.Done()
-				}
-			}(w, ch)
+			p.wake[w] <- struct{}{}
 		}
 	}
-	p.fn = fn
-	p.done.Add(p.n - 1)
-	for w := 1; w < p.n; w++ {
-		p.wake[w] <- struct{}{}
-	}
-	fn(0)
+	p.panics[0] = p.run(0)
 	p.done.Wait()
 	p.fn = nil
+	var failed *WorkerPanic
+	for w, pn := range p.panics {
+		if failed == nil {
+			failed = pn
+		}
+		p.panics[w] = nil
+	}
+	if failed != nil {
+		panic(failed)
+	}
+}
+
+// run calls the current fn for worker w, returning a panic it raises as a
+// *WorkerPanic instead of unwinding.
+func (p *WorkerPool) run(w int) (pn *WorkerPanic) {
+	defer func() {
+		if r := recover(); r != nil {
+			pn = capturePanic(r, fmt.Sprintf("barrier pool worker %d", w), p.t, p.h)
+		}
+	}()
+	p.fn(w)
+	return nil
 }
 
 // Close parks the pool permanently, stopping its goroutines. Idempotent;

@@ -21,9 +21,10 @@ import (
 // minimum link latency or service time). Every event in [T, T+L) is safe
 // to execute without coordination: an event at time u >= T can only
 // influence another shard at or after u+L >= T+L, beyond the window. Each
-// window therefore runs all shards in parallel up to the horizon H = T+L,
-// then a barrier delivers the buffered cross-shard events and the next
-// window begins.
+// window therefore runs all shards up to the horizon H = T+L — in
+// parallel when the window holds enough work to pay for the fork, inline
+// otherwise (runOneWindow) — then a barrier delivers the buffered
+// cross-shard events and the next window begins.
 //
 // Cross-shard sends take a batched data path built for throughput: each
 // (source, destination) pair owns an outbox lane that the source appends
@@ -77,7 +78,7 @@ type ShardedSimulator struct {
 	// any shard and schedule new events at or after the horizon.
 	barrier func(horizon Time)
 
-	// inWindow marks the parallel section, in which cross-shard sends
+	// inWindow marks the window section, in which cross-shard sends
 	// must respect the lookahead bound and barrier-only calls must not
 	// run.
 	inWindow bool
@@ -315,13 +316,16 @@ func (ss *ShardedSimulator) RunUntil(limit Time) {
 			wall = time.Now()
 			fired0 = ss.EventsFired()
 		}
-		active := ss.runOneWindow(h, limit)
+		active, forked := ss.runOneWindow(t, h, limit)
 		if prof != nil {
 			mid := time.Now()
 			prof.WindowNanos += mid.Sub(wall).Nanoseconds()
 			prof.Windows++
 			if active <= 1 {
 				prof.SoloWindows++
+			}
+			if forked {
+				prof.ForkedWindows++
 			}
 			df := ss.EventsFired() - fired0
 			prof.Fired += df
@@ -337,6 +341,9 @@ func (ss *ShardedSimulator) RunUntil(limit Time) {
 			prof.DeliverNanos += delivered.Sub(wall).Nanoseconds()
 		}
 		if ss.barrier != nil {
+			if ss.pool != nil {
+				ss.pool.t, ss.pool.h = t, h
+			}
 			ss.barrier(h)
 		}
 		if prof != nil {
@@ -354,41 +361,120 @@ func (ss *ShardedSimulator) RunUntil(limit Time) {
 	}
 }
 
-// runOneWindow executes every shard's events in [now, h) ∩ [0, limit] —
-// in parallel when more than one shard has eligible work, inline
-// otherwise, so a single-shard configuration never pays goroutine
-// overhead. It returns the number of shards that had eligible work.
-func (ss *ShardedSimulator) runOneWindow(h, limit Time) int {
-	ss.inWindow = true
-	active := 0
-	var only *Simulator
+// runOneWindow executes every shard's events in [t, h) ∩ [0, limit]. It
+// forks a goroutine per eligible shard only when the fork pays for itself
+// — at least two shards each hold forkMinEvents eligible events — and
+// otherwise runs the eligible shards inline on the coordinator, in shard
+// order. Shards touch only their own state inside a window, so the two
+// schedules give identical results; a window with fewer than two active
+// shards never forks, so a single-shard configuration never pays
+// goroutine overhead. It returns the number of shards that had eligible
+// work and whether the window forked. A panic on any shard, forked or
+// inline, is re-raised on the coordinator as a *WorkerPanic naming the
+// shard and the window — the lowest such shard when several panicked.
+func (ss *ShardedSimulator) runOneWindow(t, h, limit Time) (active int, forked bool) {
+	eligible := func(s *Simulator) bool {
+		at := s.nextAt()
+		return at < h && at <= limit
+	}
 	for _, s := range ss.shards {
-		if at := s.nextAt(); at < h && at <= limit {
+		if eligible(s) {
 			active++
-			only = s
 		}
 	}
-	switch {
-	case active == 0:
-		// Nothing eligible: all pending work is in outbox lanes.
-	case active == 1:
-		only.runWindow(h, limit)
-	default:
-		var wg sync.WaitGroup
+	if active >= 2 {
+		heavy := 0
 		for _, s := range ss.shards {
-			if at := s.nextAt(); !(at < h && at <= limit) {
+			if heavy < 2 && s.holdsForkWork(h, limit) {
+				heavy++
+			}
+		}
+		forked = heavy >= 2
+	}
+	ss.inWindow = true
+	var failed *WorkerPanic
+	if forked {
+		panics := make([]*WorkerPanic, len(ss.shards))
+		var wg sync.WaitGroup
+		for i, s := range ss.shards {
+			if !eligible(s) {
 				continue
 			}
 			wg.Add(1)
-			go func(s *Simulator) {
+			go func(i int) {
 				defer wg.Done()
-				s.runWindow(h, limit)
-			}(s)
+				panics[i] = ss.runShard(i, t, h, limit)
+			}(i)
 		}
 		wg.Wait()
+		for _, p := range panics {
+			if p != nil {
+				failed = p
+				break
+			}
+		}
+	} else {
+		for i, s := range ss.shards {
+			if eligible(s) {
+				if failed = ss.runShard(i, t, h, limit); failed != nil {
+					break
+				}
+			}
+		}
 	}
 	ss.inWindow = false
-	return active
+	if failed != nil {
+		panic(failed)
+	}
+	return active, forked
+}
+
+// runShard runs shard i's part of the window [t, h), returning a panic
+// raised by one of its events as a *WorkerPanic instead of unwinding.
+func (ss *ShardedSimulator) runShard(i int, t, h, limit Time) (p *WorkerPanic) {
+	defer func() {
+		if r := recover(); r != nil {
+			p = capturePanic(r, fmt.Sprintf("shard %d", i), t, h)
+		}
+	}()
+	ss.shards[i].runWindow(h, limit)
+	return nil
+}
+
+// holdsForkWork reports whether at least forkMinEvents queued events fall
+// in the window (before h and not after limit). The events in the window
+// form a subtree at the root of the 4-ary heap — every ancestor of an
+// event is due no later than it — so a depth-first walk that prunes at
+// the first ineligible node visits only that subtree and its frontier,
+// and stopping at forkMinEvents bounds the walk at O(forkMinEvents).
+// Events the window would spawn cannot be counted ahead of time, which
+// errs toward running inline.
+func (s *Simulator) holdsForkWork(h, limit Time) bool {
+	// Each eligible node visited pops one position and pushes at most
+	// heapArity, and the walk stops at the forkMinEvents-th, so the stack
+	// never holds more than 1 + (heapArity-1)·(forkMinEvents-1) positions.
+	if len(s.heap) < forkMinEvents {
+		return false
+	}
+	var stack [1 + (heapArity-1)*(forkMinEvents-1)]int32
+	sp, found := 1, 0 // stack[0] holds position 0, the root
+	for sp > 0 {
+		sp--
+		i := int(stack[sp])
+		if at := s.arena[s.heap[i]].at; at >= h || at > limit {
+			continue
+		}
+		found++
+		if found >= forkMinEvents {
+			return true
+		}
+		first := i*heapArity + 1
+		for c := first; c < first+heapArity && c < len(s.heap); c++ {
+			stack[sp] = int32(c)
+			sp++
+		}
+	}
+	return false
 }
 
 // deliver drains every outbox lane into its destination shard. For each
@@ -538,8 +624,15 @@ type BarrierStats struct {
 	// Delivered is the number of cross-shard events delivered at barriers.
 	Delivered uint64
 	// SoloWindows counts windows in which at most one shard had eligible
-	// work — windows that ran inline, with zero parallelism to harvest.
+	// work — zero parallelism to harvest. They always run inline, but so
+	// do multi-shard windows too small to pay for a fork; ForkedWindows
+	// counts the rest.
 	SoloWindows uint64
+	// ForkedWindows counts windows that ran on one goroutine per active
+	// shard: at least two shards each held forkMinEvents eligible events.
+	// Deterministic for a given build; race builds fork every window with
+	// two or more active shards.
+	ForkedWindows uint64
 	// MaxWindowFired is the largest single-window event count.
 	MaxWindowFired uint64
 	// WindowNanos and BarrierNanos split the run's wall-clock between the

@@ -7,10 +7,12 @@ import (
 )
 
 // shardStressResult is one run's observable outcome: the per-key firing
-// sequences (times in order) plus the total event count.
+// sequences (times in order), the total event count and the barrier
+// profile.
 type shardStressResult struct {
 	observed [][]float64
 	fired    uint64
+	prof     BarrierStats
 }
 
 // runShardStress drives ~100k events through a sharded kernel: 64 keyed
@@ -30,6 +32,7 @@ func runShardStress(t *testing.T, shards int) (shardStressResult, [][]float64) {
 		capCross = 200
 	)
 	ss := NewSharded(shards, 1.0)
+	prof := ss.Profile()
 	root := NewRNG(777)
 
 	observed := make([][]float64, keys)     // appended only by key's own shard
@@ -116,7 +119,7 @@ func runShardStress(t *testing.T, shards int) (shardStressResult, [][]float64) {
 	for k := 0; k < keys; k++ {
 		sort.Float64s(want[k])
 	}
-	return shardStressResult{observed: observed, fired: ss.EventsFired()}, want
+	return shardStressResult{observed: observed, fired: ss.EventsFired(), prof: *prof}, want
 }
 
 // TestShardedKernelStressCrossCheck runs ~100k events at 1 and 4 shards:
