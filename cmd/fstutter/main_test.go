@@ -29,8 +29,8 @@ func TestMain(m *testing.M) {
 }
 
 // runCLI runs fstutter with args and extra environment, returning its exit
-// code and standard error.
-func runCLI(t *testing.T, env []string, args ...string) (int, string) {
+// code, standard output and standard error.
+func runCLI(t *testing.T, env []string, args ...string) (code int, stdout, stderr string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -41,18 +41,74 @@ func runCLI(t *testing.T, env []string, args ...string) (int, string) {
 		}
 	}
 	cmd.Env = append(cmd.Env, env...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
 	err := cmd.Run()
 	var exit *exec.ExitError
 	switch {
 	case err == nil:
-		return 0, stderr.String()
+		return 0, out.String(), errOut.String()
 	case errors.As(err, &exit):
-		return exit.ExitCode(), stderr.String()
+		return exit.ExitCode(), out.String(), errOut.String()
 	}
 	t.Fatalf("fstutter %v: %v", args, err)
-	return 0, ""
+	return 0, "", ""
+}
+
+// TestCLIExitCodes pins the command line's exit codes: every usage error
+// exits 2 before running anything, naming what was wrong on stderr, and
+// list exits 0.
+func TestCLIExitCodes(t *testing.T) {
+	oracleDir := filepath.Join(t.TempDir(), "oracle")
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		code   int
+		stderr string
+	}{
+		{"no-arguments", nil, 2, "usage:"},
+		{"unknown-command", []string{"frobnicate"}, 2, `unknown command "frobnicate"`},
+		{"unknown-id", []string{"run", "E99"}, 2, `unknown experiment "E99"`},
+		{"run-without-ids", []string{"run"}, 2, "at least one experiment id required"},
+		{"bad-format", []string{"-format", "xml", "list"}, 2, `unknown format "xml"`},
+		{"uncovered-oracle", []string{"oracle", "E01", "E06", "-quick", "-out", oracleDir}, 2, "no predictor for experiment E06"},
+		{"list", []string{"list"}, 0, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := runCLI(t, nil, tc.args...)
+			if code != tc.code {
+				t.Fatalf("exit %d, want %d; stderr:\n%s", code, tc.code, stderr)
+			}
+			if tc.code == 0 {
+				if !strings.Contains(stdout, "E01") {
+					t.Fatalf("stdout lacks E01:\n%s", stdout)
+				}
+				return
+			}
+			if !strings.Contains(stderr, tc.stderr) {
+				t.Fatalf("stderr %q, want it to name %q", stderr, tc.stderr)
+			}
+			if stdout != "" {
+				t.Fatalf("usage error ran something; stdout:\n%s", stdout)
+			}
+		})
+	}
+	if _, err := os.Stat(oracleDir); !os.IsNotExist(err) {
+		t.Fatalf("rejected oracle run left artifacts at %s (stat: %v)", oracleDir, err)
+	}
+}
+
+// TestCLIFlagsAfterSubcommand: flags given after the subcommand mean what
+// they mean before it.
+func TestCLIFlagsAfterSubcommand(t *testing.T) {
+	codeA, after, stderrA := runCLI(t, nil, "run", "E01", "-quick", "-seed", "7")
+	codeB, before, stderrB := runCLI(t, nil, "-quick", "-seed", "7", "run", "E01")
+	if codeA != 0 || codeB != 0 {
+		t.Fatalf("exits %d and %d, want 0; stderr:\n%s\n%s", codeA, codeB, stderrA, stderrB)
+	}
+	if after == "" || after != before {
+		t.Fatalf("flags after the subcommand printed\n%s\nflags before it printed\n%s", after, before)
+	}
 }
 
 // TestBenchRefusesOversubscription: `fstutter bench` must not write a
@@ -75,7 +131,7 @@ func TestBenchRefusesOversubscription(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "BENCH.json")
-			code, stderr := runCLI(t, tc.env, append([]string{"bench", "-samples", "1", "-out", out}, tc.args...)...)
+			code, _, stderr := runCLI(t, tc.env, append([]string{"bench", "-samples", "1", "-out", out}, tc.args...)...)
 			if code != 2 {
 				t.Fatalf("exit %d, want 2; stderr:\n%s", code, stderr)
 			}

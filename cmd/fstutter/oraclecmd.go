@@ -18,15 +18,20 @@ import (
 // oracle instruments before the metrics artifacts are emitted, so a
 // -metrics-out CSV/JSON dump carries the residuals alongside the raw
 // metrics. Out-of-band rows warn by default; with gate set they exit 1.
+// An id the oracle does not cover is a usage error: it exits 2 before any
+// experiment runs or any artifact is written.
 func cmdOracle(cfg experiments.Config, ids []string, dir string, gate bool, sink artifactSink) {
+	for _, id := range ids {
+		if !oracle.Covers(id) {
+			fmt.Fprintf(os.Stderr, "fstutter oracle: no predictor for experiment %s (covered: %s)\n",
+				id, strings.Join(oracle.Covered(), " "))
+			os.Exit(2)
+		}
+	}
 	cfg.Profile = true
 	single := len(ids) == 1
 	failures := 0
 	for _, id := range ids {
-		if !oracle.Covers(id) {
-			fail(fmt.Errorf("oracle: no predictor for experiment %s (covered: %s)",
-				id, strings.Join(oracle.Covered(), " ")))
-		}
 		e, err := experiments.Get(id)
 		if err != nil {
 			fail(err)

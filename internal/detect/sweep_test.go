@@ -203,23 +203,27 @@ func BenchmarkPeerSetParallelSweep(b *testing.B) {
 					p.Register(fmt.Sprintf("disk%07d", i))
 				}
 				pool := testPool{n: workers}
-				for k := 0; k < 4; k++ {
+				// One straggler per thousand members, in the warm-up
+				// sweeps too: a single slow sample does not move a
+				// 4-sample window's median, so a straggler injected only
+				// in the timed loop would go unflagged at b.N = 1.
+				fill := func(k int) {
 					for i := range rates {
 						rates[i] = 100 + float64((i+k)%13)
+						if i%1000 == 0 {
+							rates[i] = 5
+						}
 					}
+				}
+				for k := 0; k < 4; k++ {
+					fill(k)
 					p.SweepObserve(pool, float64(k), rates)
 				}
 				p.SweepVerdicts(pool, 3, verdicts)
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
 					now := float64(4 + n)
-					for i := range rates {
-						rate := 100 + float64((i+n)%13)
-						if i%1000 == 0 {
-							rate = 5
-						}
-						rates[i] = rate
-					}
+					fill(n)
 					p.SweepObserve(pool, now, rates)
 					if p.SweepVerdicts(pool, now, verdicts) == 0 {
 						b.Fatal("sweep flagged nothing; straggler injection broken")

@@ -58,9 +58,9 @@ type FleetParams struct {
 	// GOMAXPROCS. The result is byte-identical at any value.
 	SweepWorkers int
 	// Rebalance load-balances disks across shards before construction: an
-	// analytic per-disk event-cost model (built from a pure RNG pre-pass,
-	// so the main pass's draws are untouched) feeds
-	// sim.RecommendPlacement, and the plan is installed with SetPlacement.
+	// analytic per-disk event-cost model, built from each disk's fault
+	// draw, feeds sim.RecommendPlacement, and the plan is installed with
+	// SetPlacement.
 	// Placement is just another partition, so results are unchanged; only
 	// the per-shard wall-clock balance moves.
 	Rebalance bool
@@ -131,32 +131,62 @@ func RunFleetScenario(p FleetParams) FleetResult {
 	ss := sim.NewSharded(p.Shards, fleetTick)
 	ss.SetBarrierParallelism(p.SweepWorkers)
 	pool := ss.BarrierPool()
-	defer pool.Close()
 	if p.ObserveBarrier != nil {
 		ss.Profile()
 	}
+	// Draw every disk's base rate and fault from its own stream, forked by
+	// disk identity, before anything is built: placement needs the fault
+	// draws ahead of construction. faultKind: 0 healthy, 1 stutter, 2 fail.
 	root := sim.NewRNG(p.Seed).Fork("e32")
+	ids := make([]string, p.Disks)
+	rates := make([]float64, p.Disks)
+	faultKind := make([]uint8, p.Disks)
+	res := FleetResult{}
+	for i := range ids {
+		ids[i] = fmt.Sprintf("d%07d", i)
+		rng := root.Fork(ids[i])
+		rates[i] = 80 + 40*rng.Float64()
+		switch u := rng.Float64(); {
+		case u < failFrac:
+			faultKind[i] = 2
+			res.InjectedFail++
+		case u < failFrac+stutterFrac:
+			faultKind[i] = 1
+			res.InjectedStutter++
+		}
+	}
 	if p.Rebalance {
-		ss.SetPlacement(sim.RecommendPlacement(fleetLoadModel(root, p), p.Shards))
+		// Each disk's predicted event count: two completions per tick at
+		// full rate, plus the injection event — a failed disk stops at the
+		// fault tick, a stuttered one drops to a quarter rate (one
+		// completion every two ticks). RecommendPlacement only needs the
+		// ratios.
+		loads := make([]sim.Load, p.Disks)
+		for i, id := range ids {
+			cost := 2 * float64(p.Ticks)
+			switch faultKind[i] {
+			case 2:
+				cost = 2*float64(faultTick) + 1
+			case 1:
+				cost = 2*float64(faultTick) + 0.5*float64(p.Ticks-faultTick) + 1
+			}
+			loads[i] = sim.Load{ID: id, Cost: cost}
+		}
+		ss.SetPlacement(sim.RecommendPlacement(loads, p.Shards))
 	}
 	p.Telemetry.attachSharded(ss)
 
 	disks := make([]fleetDisk, p.Disks)
-	ids := make([]string, p.Disks)
-	// faultKind: 0 healthy, 1 stutter, 2 fail. flagTick is the sweep a
-	// faulty disk was first flagged at, -1 until then.
-	faultKind := make([]uint8, p.Disks)
+	// flagTick is the sweep a faulty disk was first flagged at, -1 until
+	// then.
 	flagTick := make([]int32, p.Disks)
 	byShard := make([][]int32, p.Shards)
-	res := FleetResult{}
 	for i := range disks {
-		ids[i] = fmt.Sprintf("d%07d", i)
 		flagTick[i] = -1
-		rng := root.Fork(ids[i])
 		shard := ss.ShardFor(ids[i])
 		byShard[shard] = append(byShard[shard], int32(i))
 		sh := ss.Shard(shard)
-		rate := 80 + 40*rng.Float64()
+		rate := rates[i]
 		d := &disks[i]
 		d.st = sim.NewStation(sh, ids[i], rate)
 		if tr := ss.ShardTracer(shard); tr != nil {
@@ -170,14 +200,10 @@ func RunFleetScenario(p FleetParams) FleetResult {
 			d.st.Submit(r)
 		}
 		d.st.Submit(&d.req)
-		switch u := rng.Float64(); {
-		case u < failFrac:
-			faultKind[i] = 2
-			res.InjectedFail++
+		switch faultKind[i] {
+		case 2:
 			sh.At(float64(faultTick)+0.5, d.st.Fail)
-		case u < failFrac+stutterFrac:
-			faultKind[i] = 1
-			res.InjectedStutter++
+		case 1:
 			sh.At(float64(faultTick)+0.5, func() { d.st.SetMultiplier(stutterMult) })
 		}
 	}
@@ -282,38 +308,6 @@ func FleetRecorder(seed uint64) trace.RecorderConfig {
 		Reservoir: fleetReservoir,
 		Seed:      sim.NewRNG(seed).Fork("e32-flight-recorder").Uint64(),
 	}
-}
-
-// fleetLoadModel predicts each disk's kernel-event cost before the fleet
-// is built, by replaying the construction loop's per-disk RNG draws:
-// Fork is pure (it hashes, never consumes parent state), so this pre-pass
-// leaves the main pass's streams untouched. The model counts completions
-// — two per tick at full rate — plus the injection event: a failed disk
-// stops at the fault tick, a stuttered one drops to a quarter rate (one
-// completion every two ticks), a healthy one runs full the whole way.
-// The units are approximate event counts, but RecommendPlacement only
-// needs the ratios.
-func fleetLoadModel(root *sim.RNG, p FleetParams) []sim.Load {
-	faultTick := p.Ticks / 3
-	const (
-		stutterFrac = 1.0 / 512
-		failFrac    = 1.0 / 1024
-	)
-	loads := make([]sim.Load, p.Disks)
-	for i := range loads {
-		id := fmt.Sprintf("d%07d", i)
-		rng := root.Fork(id)
-		rng.Float64() // rate draw; cost depends only on the fault draw
-		cost := 2 * float64(p.Ticks)
-		switch u := rng.Float64(); {
-		case u < failFrac:
-			cost = 2*float64(faultTick) + 1
-		case u < failFrac+stutterFrac:
-			cost = 2*float64(faultTick) + 0.5*float64(p.Ticks-faultTick) + 1
-		}
-		loads[i] = sim.Load{ID: id, Cost: cost}
-	}
-	return loads
 }
 
 func runE32(cfg Config) *Table {

@@ -3,12 +3,14 @@
 package sim
 
 // forkMinEvents is the per-shard work below which a safe window is not
-// worth forking: runOneWindow starts goroutines only when at least two
-// shards each hold this many eligible events, and otherwise runs every
-// eligible shard inline on the coordinator, in shard order.
+// worth forking: runOneWindow forks only when at least two shards each
+// hold this many eligible events — the coordinator then runs the first
+// eligible shard itself and starts a goroutine for each other one — and
+// otherwise runs every eligible shard inline on the coordinator, in shard
+// order.
 //
 // Derivation, on a 2-vCPU x86-64 host: one fork-join (a goroutine per
-// active shard plus the WaitGroup wake) costs about 2.4 µs — the planes
+// forked shard plus the WaitGroup wake) costs about 2.4 µs — the planes
 // workload saved ~4.3 ms per op by not forking its 1,788 multi-shard
 // windows — while one event costs about 135–150 ns (the sim.station_ns
 // and sim.schedule_fire_ns layer benchmarks). A fork therefore breaks

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -140,9 +141,10 @@ func TestShardPanicReraisedOnCoordinator(t *testing.T) {
 			if !strings.Contains(stack, "explodeInWindow") {
 				t.Fatalf("stack does not reach the panicking event:\n%s", stack)
 			}
-			// A forked shard's stack ends at the goroutine the window
-			// started; an inline one runs under RunUntil.
-			if onGoroutine := strings.Contains(stack, "created by failstutter/internal/sim.(*ShardedSimulator).runOneWindow"); onGoroutine != tc.forked {
+			// Shard 1 is the second eligible shard, so a forked window runs
+			// it on a goroutine forkJoin started; an inline one runs under
+			// RunUntil.
+			if onGoroutine := strings.Contains(stack, "created by failstutter/internal/sim.forkJoin"); onGoroutine != tc.forked {
 				t.Fatalf("ran on a forked goroutine: %v, want %v:\n%s", onGoroutine, tc.forked, stack)
 			}
 			msg := wp.Error()
@@ -155,23 +157,24 @@ func TestShardPanicReraisedOnCoordinator(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolPanicReraised: a panic on a parked pool worker or on the
+// TestWorkerPoolPanicReraised: a panic on a forked pool worker or on the
 // inline worker 0 is re-raised by Do after every worker finished, naming
-// the worker; the pool stays usable.
+// the worker — the lowest one when several panicked; the pool stays
+// usable.
 func TestWorkerPoolPanicReraised(t *testing.T) {
 	p := NewWorkerPool(3)
 	defer p.Close()
-	for _, bad := range []int{2, 0} {
+	for _, bad := range [][]int{{2}, {0}, {1, 2}, {0, 1, 2}} {
 		ran := make([]bool, 3)
 		wp := recoverWorkerPanic(t, func() {
 			p.Do(func(w int) {
 				ran[w] = true
-				if w == bad {
+				if slices.Contains(bad, w) {
 					panic(errors.New("sweep broke"))
 				}
 			})
 		})
-		if want := fmt.Sprintf("barrier pool worker %d", bad); wp.Worker != want {
+		if want := fmt.Sprintf("barrier pool worker %d", bad[0]); wp.Worker != want {
 			t.Fatalf("worker %q, want %q", wp.Worker, want)
 		}
 		if !math.IsNaN(wp.T) || !math.IsNaN(wp.H) {

@@ -8,7 +8,7 @@ import (
 
 // TestWorkerPoolRunsEveryWorker checks the fan-out contract — fn(w) runs
 // exactly once per worker per Do — across repeated dispatches of the
-// same pool (the parked-goroutine reuse path).
+// same pool.
 func TestWorkerPoolRunsEveryWorker(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8} {
 		p := NewWorkerPool(n)

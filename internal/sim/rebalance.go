@@ -22,10 +22,8 @@ type Load struct {
 // and the kernel's results are partition-invariant by the determinism
 // protocol, so rebalancing trades wall-clock imbalance for nothing.
 //
-// Costs typically come from a prior run's per-shard event accounting
-// (PerShardFired spread over the stations each shard hosted — see
-// PerShardLoads) or from an analytic per-station event model, as the
-// fleet experiment uses.
+// Costs come from an analytic per-station event model, as the fleet
+// experiment builds from its per-disk fault draws.
 func RecommendPlacement(loads []Load, shards int) map[string]int {
 	if shards < 1 {
 		panic(fmt.Sprintf("sim: RecommendPlacement needs at least 1 shard, got %d", shards))
@@ -50,31 +48,6 @@ func RecommendPlacement(loads []Load, shards int) map[string]int {
 		plan[l.ID] = best
 	}
 	return plan
-}
-
-// PerShardLoads converts one run's observed per-shard fired counts into
-// per-station cost estimates: each shard's total is split evenly across
-// the stations it hosted. The estimate is coarse — it cannot see
-// heterogeneity *within* a shard — but it is exactly the accounting the
-// kernel already keeps (PerShardFired), so a caller can feed an observed
-// run into RecommendPlacement for the next construction without any
-// extra instrumentation.
-func PerShardLoads(byShard [][]string, perShardFired []uint64) []Load {
-	if len(byShard) != len(perShardFired) {
-		panic(fmt.Sprintf("sim: PerShardLoads got %d shards of stations but %d fired counts",
-			len(byShard), len(perShardFired)))
-	}
-	var loads []Load
-	for shard, ids := range byShard {
-		if len(ids) == 0 {
-			continue
-		}
-		cost := float64(perShardFired[shard]) / float64(len(ids))
-		for _, id := range ids {
-			loads = append(loads, Load{ID: id, Cost: cost})
-		}
-	}
-	return loads
 }
 
 // SetPlacement installs an explicit station→shard plan consulted by

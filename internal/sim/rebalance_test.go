@@ -67,29 +67,6 @@ func TestRecommendPlacementDeterministic(t *testing.T) {
 	}
 }
 
-// TestPerShardLoads checks the observed-counts path: each shard's fired
-// total splits evenly over its stations, empty shards contribute nothing,
-// and mismatched lengths panic.
-func TestPerShardLoads(t *testing.T) {
-	byShard := [][]string{{"a", "b"}, {}, {"c"}}
-	loads := PerShardLoads(byShard, []uint64{10, 99, 7})
-	want := map[string]float64{"a": 5, "b": 5, "c": 7}
-	if len(loads) != len(want) {
-		t.Fatalf("got %d loads, want %d: %v", len(loads), len(want), loads)
-	}
-	for _, l := range loads {
-		if w, ok := want[l.ID]; !ok || w != l.Cost {
-			t.Fatalf("station %s cost %v, want %v", l.ID, l.Cost, want[l.ID])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PerShardLoads with mismatched lengths did not panic")
-		}
-	}()
-	PerShardLoads(byShard, []uint64{1})
-}
-
 // TestSetPlacementRouting checks that ShardFor consults the plan,
 // unplanned identities keep their hashed shard, and the construction-time
 // guards fire.

@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -26,15 +27,12 @@ import (
 // otherwise (runOneWindow) — then a barrier delivers the buffered
 // cross-shard events and the next window begins.
 //
-// Cross-shard sends take a batched data path built for throughput: each
-// (source, destination) pair owns an outbox lane that the source appends
-// to in send order — already sorted by construction when senders emit at
-// monotone times, with a per-lane sort fallback otherwise. At the barrier
-// the lanes feeding each destination are combined by a k-way streaming
-// merge keyed on (time, source shard, source sequence) and the merged run
-// is pushed into the destination heap as one batch, restoring heap order
-// with a single bounded Floyd pass over the affected ancestor cone rather
-// than a sift per event.
+// Cross-shard sends are buffered: each (source, destination) pair owns an
+// outbox lane that the source appends to in send order. At the barrier the
+// lanes feeding each destination are concatenated in source-shard order,
+// stable-sorted by time — which yields (time, source shard, source
+// sequence) order — and each event is scheduled on the destination with
+// At, so a delivery into the destination's past panics like any other.
 //
 // Determinism is by construction, at any shard count:
 //
@@ -64,13 +62,12 @@ type ShardedSimulator struct {
 	// lanes[src*k+dst] buffers cross-shard events emitted by shard src for
 	// shard dst during the current window. Each shard appends only to its
 	// own row of lanes, so the window needs no locks; the barrier drains
-	// all of them with a per-destination k-way merge.
-	lanes []lane
-	// batch is the barrier's reusable per-destination merge buffer.
+	// them destination by destination.
+	lanes [][]laneEvent
+	// batch is the barrier's reusable per-destination delivery buffer.
 	batch []laneEvent
-	// sendSeq[src] numbers shard src's sends, the final tie-break of the
-	// delivery order.
-	sendSeq []uint64
+	// active is the current window's reusable list of eligible shards.
+	active []int
 
 	// barrier, when non-nil, runs single-threaded after every window with
 	// the window horizon. Fleet-wide logic (peer detectors sweeping
@@ -105,22 +102,12 @@ type ShardedSimulator struct {
 	tel *shardTelemetry
 }
 
-// lane is one (source, destination) outbox: events appended in source
-// send order. sorted tracks whether the appended times are nondecreasing
-// — the common case, since senders emit at now+latency with monotone now —
-// letting the barrier skip the sort fallback.
-type lane struct {
-	evs    []laneEvent
-	sorted bool
-}
-
-// laneEvent is a buffered cross-shard message within one lane: fn will be
-// scheduled on the lane's destination at time at; seq is the source
-// shard's send sequence, the final delivery tie-break.
+// laneEvent is a buffered cross-shard message within one outbox lane: fn
+// will be scheduled on the lane's destination at time at. A lane holds its
+// events in source send order, the final delivery tie-break.
 type laneEvent struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at Time
+	fn func()
 }
 
 // NewSharded builds a simulator partitioned into the given number of
@@ -139,11 +126,7 @@ func NewSharded(shards int, lookahead Duration) *ShardedSimulator {
 	ss := &ShardedSimulator{
 		shards:    make([]*Simulator, shards),
 		lookahead: lookahead,
-		lanes:     make([]lane, shards*shards),
-		sendSeq:   make([]uint64, shards),
-	}
-	for i := range ss.lanes {
-		ss.lanes[i].sorted = true
+		lanes:     make([][]laneEvent, shards*shards),
 	}
 	for i := range ss.shards {
 		ss.shards[i] = New()
@@ -177,12 +160,16 @@ func (ss *ShardedSimulator) ShardFor(key string) int {
 
 // Send schedules fn on shard dst at absolute time at, from code running on
 // shard src. The event is appended to the (src, dst) outbox lane and
-// delivered at the next barrier in (time, source shard, source sequence)
-// order. Inside a window the time must respect the lookahead bound
-// (at >= source now + lookahead) — that bound is what makes the window
-// safe to run in parallel, so violating it panics loudly, naming the
-// offending component, rather than corrupting the timeline. origin
-// identifies the sending component for that diagnostic; it is not part of
+// delivered at the next barrier — after the next window has run — in
+// (time, source shard, source sequence) order. Inside a window the time
+// must respect the lookahead bound (at >= source now + lookahead) — that
+// bound is what makes the window safe to run in parallel, so violating it
+// panics loudly, naming the offending component, rather than corrupting
+// the timeline. Outside a window (setup code or a barrier hook) only
+// at >= source now is checked here; a send that the destination has run
+// past by the time it is delivered panics at the barrier, in
+// Simulator.At, rather than run the destination's clock backwards. origin
+// identifies the sending component for the diagnostics; it is not part of
 // the delivery order. Same-shard sends take the same buffered path,
 // keeping delivery semantics uniform.
 func (ss *ShardedSimulator) Send(src, dst int, at Time, origin string, fn func()) {
@@ -201,11 +188,7 @@ func (ss *ShardedSimulator) Send(src, dst int, at Time, origin string, fn func()
 			origin, src, dst, at))
 	}
 	ln := &ss.lanes[src*len(ss.shards)+dst]
-	if n := len(ln.evs); n > 0 && at < ln.evs[n-1].at {
-		ln.sorted = false
-	}
-	ln.evs = append(ln.evs, laneEvent{at: at, seq: ss.sendSeq[src], fn: fn})
-	ss.sendSeq[src]++
+	*ln = append(*ln, laneEvent{at: at, fn: fn})
 }
 
 // SetBarrier installs (or, with nil, removes) the hook run single-threaded
@@ -261,8 +244,8 @@ func (ss *ShardedSimulator) Pending() int {
 	for _, s := range ss.shards {
 		n += len(s.heap)
 	}
-	for i := range ss.lanes {
-		n += len(ss.lanes[i].evs)
+	for _, ln := range ss.lanes {
+		n += len(ln)
 	}
 	return n
 }
@@ -276,8 +259,8 @@ func (ss *ShardedSimulator) nextTime() Time {
 			t = at
 		}
 	}
-	for i := range ss.lanes {
-		for _, ev := range ss.lanes[i].evs {
+	for _, ln := range ss.lanes {
+		for _, ev := range ln {
 			if ev.at < t {
 				t = ev.at
 			}
@@ -362,26 +345,25 @@ func (ss *ShardedSimulator) RunUntil(limit Time) {
 }
 
 // runOneWindow executes every shard's events in [t, h) ∩ [0, limit]. It
-// forks a goroutine per eligible shard only when the fork pays for itself
-// — at least two shards each hold forkMinEvents eligible events — and
-// otherwise runs the eligible shards inline on the coordinator, in shard
-// order. Shards touch only their own state inside a window, so the two
-// schedules give identical results; a window with fewer than two active
-// shards never forks, so a single-shard configuration never pays
+// forks only when the fork pays for itself — at least two shards each
+// hold forkMinEvents eligible events — running the first eligible shard on
+// the coordinator and each other one on a goroutine of its own (forkJoin);
+// otherwise it runs the eligible shards inline on the coordinator, in
+// shard order. Shards touch only their own state inside a window, so the
+// two schedules give identical results; a window with fewer than two
+// active shards never forks, so a single-shard configuration never pays
 // goroutine overhead. It returns the number of shards that had eligible
 // work and whether the window forked. A panic on any shard, forked or
 // inline, is re-raised on the coordinator as a *WorkerPanic naming the
 // shard and the window — the lowest such shard when several panicked.
 func (ss *ShardedSimulator) runOneWindow(t, h, limit Time) (active int, forked bool) {
-	eligible := func(s *Simulator) bool {
-		at := s.nextAt()
-		return at < h && at <= limit
-	}
-	for _, s := range ss.shards {
-		if eligible(s) {
-			active++
+	ss.active = ss.active[:0]
+	for i, s := range ss.shards {
+		if s.eligible(h, limit) {
+			ss.active = append(ss.active, i)
 		}
 	}
+	active = len(ss.active)
 	if active >= 2 {
 		heavy := 0
 		for _, s := range ss.shards {
@@ -394,31 +376,13 @@ func (ss *ShardedSimulator) runOneWindow(t, h, limit Time) (active int, forked b
 	ss.inWindow = true
 	var failed *WorkerPanic
 	if forked {
-		panics := make([]*WorkerPanic, len(ss.shards))
-		var wg sync.WaitGroup
-		for i, s := range ss.shards {
-			if !eligible(s) {
-				continue
-			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				panics[i] = ss.runShard(i, t, h, limit)
-			}(i)
-		}
-		wg.Wait()
-		for _, p := range panics {
-			if p != nil {
-				failed = p
-				break
-			}
-		}
+		failed = forkJoin(active, func(i int) *WorkerPanic {
+			return ss.runShard(ss.active[i], t, h, limit)
+		})
 	} else {
-		for i, s := range ss.shards {
-			if eligible(s) {
-				if failed = ss.runShard(i, t, h, limit); failed != nil {
-					break
-				}
+		for _, i := range ss.active {
+			if failed = ss.runShard(i, t, h, limit); failed != nil {
+				break
 			}
 		}
 	}
@@ -427,6 +391,13 @@ func (ss *ShardedSimulator) runOneWindow(t, h, limit Time) (active int, forked b
 		panic(failed)
 	}
 	return active, forked
+}
+
+// eligible reports whether the shard's next event falls in the window:
+// before the horizon h and not after limit.
+func (s *Simulator) eligible(h, limit Time) bool {
+	at := s.nextAt()
+	return at < h && at <= limit
 }
 
 // runShard runs shard i's part of the window [t, h), returning a panic
@@ -478,22 +449,17 @@ func (s *Simulator) holdsForkWork(h, limit Time) bool {
 }
 
 // deliver drains every outbox lane into its destination shard. For each
-// destination the k source lanes — each already in (time, seq) order — are
-// combined by a streaming k-way merge keyed on (time, source shard, source
-// seq), and the merged run is batch-pushed into the destination heap. The
-// global delivery order this produces is exactly the old single-sort
-// order: sequence numbers only break ties within one shard's heap, and
-// within each destination the merge emits (time, src, seq) order.
+// destination the incoming lanes are appended in source-shard order and
+// stable-sorted by time; each lane is already in source send order, so the
+// batch comes out in (time, source shard, source seq) order. Scheduling
+// the batch with At then assigns the destination's sequence numbers in that
+// same order, so tie-breaks never depend on goroutine scheduling — and a
+// delivery into the destination's past panics instead of being run late.
 func (ss *ShardedSimulator) deliver() {
 	k := len(ss.shards)
 	total := 0
-	for i := range ss.lanes {
-		ln := &ss.lanes[i]
-		total += len(ln.evs)
-		if !ln.sorted {
-			sortLane(ln.evs)
-			ln.sorted = true
-		}
+	for _, ln := range ss.lanes {
+		total += len(ln)
 	}
 	if total == 0 {
 		return
@@ -503,112 +469,18 @@ func (ss *ShardedSimulator) deliver() {
 	}
 	for dst := 0; dst < k; dst++ {
 		ss.batch = ss.batch[:0]
-		ss.mergeForDst(dst)
-		if len(ss.batch) > 0 {
-			ss.shards[dst].scheduleBatch(ss.batch)
-			for i := range ss.batch {
-				ss.batch[i].fn = nil
-			}
-		}
-	}
-	for i := range ss.lanes {
-		ln := &ss.lanes[i]
-		for j := range ln.evs {
-			ln.evs[j].fn = nil
-		}
-		ln.evs = ln.evs[:0]
-	}
-}
-
-// mergeForDst appends destination dst's lanes to ss.batch in (time, source
-// shard, source seq) order. Source count k is small (≤ GOMAXPROCS), so a
-// linear scan of the lane heads beats a tournament tree: each pick is a
-// handful of predictable compares over cache-resident heads.
-func (ss *ShardedSimulator) mergeForDst(dst int) {
-	k := len(ss.shards)
-	// heads[src] indexes the next unconsumed event in lane (src, dst).
-	var headsArr [16]int
-	var heads []int
-	if k <= len(headsArr) {
-		heads = headsArr[:k]
-		for i := range heads {
-			heads[i] = 0
-		}
-	} else {
-		heads = make([]int, k)
-	}
-	for {
-		best := -1
-		var bestAt Time
 		for src := 0; src < k; src++ {
-			evs := ss.lanes[src*k+dst].evs
-			if heads[src] >= len(evs) {
-				continue
-			}
-			at := evs[heads[src]].at
-			// Strict < keeps the lowest source shard on ties: the
-			// (time, src, seq) delivery key.
-			if best < 0 || at < bestAt {
-				best, bestAt = src, at
-			}
+			ln := ss.lanes[src*k+dst]
+			ss.batch = append(ss.batch, ln...)
+			clear(ln)
+			ss.lanes[src*k+dst] = ln[:0]
 		}
-		if best < 0 {
-			return
+		slices.SortStableFunc(ss.batch, func(a, b laneEvent) int { return cmp.Compare(a.at, b.at) })
+		s := ss.shards[dst]
+		for i := range ss.batch {
+			s.At(ss.batch[i].at, ss.batch[i].fn)
+			ss.batch[i].fn = nil
 		}
-		ss.batch = append(ss.batch, ss.lanes[best*k+dst].evs[heads[best]])
-		heads[best]++
-	}
-}
-
-// sortLane restores a lane's (time, seq) order — the fallback for the rare
-// sender that emits at non-monotone times within one window. seq is unique
-// within a lane, so the unstable sort is deterministic.
-func sortLane(evs []laneEvent) {
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := &evs[i], &evs[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		return a.seq < b.seq
-	})
-}
-
-// scheduleBatch pushes a merged run of cross-shard events into the shard's
-// heap as one batch: allocate and append every event — assigning sequence
-// numbers in batch order, which is the delivery order — then restore heap
-// order with one bounded Floyd pass over the ancestor cone of the appended
-// region. The pass costs O(batch + log heap) instead of a sift per event,
-// and any valid heap arrangement pops in identical (time, seq) order, so
-// the batch path is byte-equivalent to per-event At calls.
-func (s *Simulator) scheduleBatch(evs []laneEvent) {
-	n0 := len(s.heap)
-	for i := range evs {
-		idx := s.alloc(evs[i].at, evs[i].fn)
-		s.heap = append(s.heap, idx)
-		s.arena[idx].pos = int32(n0 + i)
-	}
-	n := len(s.heap)
-	if n == n0 {
-		return
-	}
-	if n0 == 0 {
-		for i := (n - 2) / heapArity; i >= 0; i-- {
-			s.siftDown(i)
-		}
-		return
-	}
-	// Sift down every ancestor of the appended region, deepest level
-	// first: when a node is processed its children's subtrees are already
-	// valid heaps (appended leaves trivially, older nodes by induction).
-	lo, hi := (n0-1)/heapArity, (n-2)/heapArity
-	for {
-		for i := hi; i >= lo; i-- {
-			s.siftDown(i)
-		}
-		if lo == 0 {
-			return
-		}
-		lo, hi = (lo-1)/heapArity, (hi-1)/heapArity
 	}
 }
 
@@ -628,8 +500,9 @@ type BarrierStats struct {
 	// do multi-shard windows too small to pay for a fork; ForkedWindows
 	// counts the rest.
 	SoloWindows uint64
-	// ForkedWindows counts windows that ran on one goroutine per active
-	// shard: at least two shards each held forkMinEvents eligible events.
+	// ForkedWindows counts windows whose active shards ran concurrently,
+	// the first on the coordinator and each other on a goroutine of its
+	// own: at least two shards each held forkMinEvents eligible events.
 	// Deterministic for a given build; race builds fork every window with
 	// two or more active shards.
 	ForkedWindows uint64
@@ -638,7 +511,7 @@ type BarrierStats struct {
 	// WindowNanos and BarrierNanos split the run's wall-clock between the
 	// parallel window region and the barrier (delivery + barrier hook).
 	// DeliverNanos and SweepNanos split BarrierNanos further: the
-	// cross-shard merge-and-push (the merge wall) versus the barrier hook
+	// cross-shard sort-and-schedule (the merge wall) versus the barrier hook
 	// (the sweep wall — where the fleet's detection sweep runs, the part
 	// BarrierParallelism exists to shrink). BarrierNanos is always their
 	// sum. Wall-clock: nondeterministic across runs and hosts.

@@ -9,9 +9,9 @@ import (
 
 // TestKWayMergeMatchesSortReference feeds randomized cross-shard sends —
 // with deliberate time ties across source shards and within one source —
-// through the lane/k-way-merge/batch delivery path and checks the firing
-// order on every destination shard against an independently computed
-// reference: the old single-sort delivery order (time, source shard,
+// through the lane delivery path (concatenate, stable sort, At) and checks
+// the firing order on every destination shard against an independently
+// computed reference: the single-sort delivery order (time, source shard,
 // source sequence), byte for byte, at shards 1/2/3/8 and seeds 1/42/1337.
 func TestKWayMergeMatchesSortReference(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 8} {
@@ -101,49 +101,25 @@ func TestLaneSortFallback(t *testing.T) {
 	}
 }
 
-// TestScheduleBatchHeapOrder drives the batch push directly: interleaved
-// batches and singleton At calls on one kernel must pop in exact
-// (time, seq) order, covering both the ancestor-cone pass (non-empty heap)
-// and the full-heapify path (empty heap).
-func TestScheduleBatchHeapOrder(t *testing.T) {
-	s := New()
-	var got []int
-	mk := func(id int) func() { return func() { got = append(got, id) } }
-	// Batch onto an empty heap.
-	s.scheduleBatch([]laneEvent{{at: 4, fn: mk(0)}, {at: 4, fn: mk(1)}, {at: 9, fn: mk(2)}})
-	// Singletons, then a large batch straddling them.
-	s.At(2, mk(3))
-	s.At(6, mk(4))
-	batch := make([]laneEvent, 0, 40)
-	for i := 0; i < 40; i++ {
-		batch = append(batch, laneEvent{at: Time(i) * 0.5, fn: mk(100 + i)})
-	}
-	s.scheduleBatch(batch)
-	s.Run()
-	if len(got) != 45 {
-		t.Fatalf("fired %d events, want 45", len(got))
-	}
-	// Reference: (time, seq) where seq is allocation order above.
-	type ev struct {
-		at  Time
-		seq int
-		id  int
-	}
-	evs := []ev{{4, 0, 0}, {4, 1, 1}, {9, 2, 2}, {2, 3, 3}, {6, 4, 4}}
-	for i := 0; i < 40; i++ {
-		evs = append(evs, ev{Time(i) * 0.5, 5 + i, 100 + i})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].at != evs[j].at {
-			return evs[i].at < evs[j].at
+// TestDeliveryIntoPastPanics: a send made outside a window (here, during
+// setup) waits in its lane until the barrier after the next window. If the
+// destination has run past the send's time by then, delivery must fail
+// loudly rather than fire the event with the destination's clock running
+// backwards (0.05, 0.5, then 0.1).
+func TestDeliveryIntoPastPanics(t *testing.T) {
+	ss := NewSharded(2, 1)
+	var clock []Time
+	record := func() { clock = append(clock, ss.Shard(1).Now()) }
+	ss.Shard(1).At(0.05, record)
+	ss.Shard(1).At(0.5, record)
+	ss.Send(0, 1, 0.1, "setup", record)
+	defer func() {
+		const want = "sim: schedule at 0.1 before now 0.5"
+		if r := recover(); r != want {
+			t.Fatalf("panic %v, want %q (shard 1 fired at %v)", r, want, clock)
 		}
-		return evs[i].seq < evs[j].seq
-	})
-	for i, e := range evs {
-		if got[i] != e.id {
-			t.Fatalf("position %d fired id %d, want %d", i, got[i], e.id)
-		}
-	}
+	}()
+	ss.Run()
 }
 
 // TestShardForBalance hashes 1M identities and checks the max/min shard
