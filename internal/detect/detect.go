@@ -24,6 +24,7 @@ package detect
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"failstutter/internal/spec"
@@ -252,65 +253,34 @@ type PeerConfig struct {
 // bottleneck) moves the median too, so nothing is flagged; only divergent
 // components fire — the property ablation A3 measures.
 //
-// Each member's window median is cached on Observe and mirrored into one
-// ascending array of fleet medians; a verdict reads the exclude-one fleet
-// median straight off that array by index arithmetic
-// (stats.QuantileSortedExcluding), so no per-verdict copy exists at any
+// Each member's window median is cached on observe, and a verdict reads
+// the exclude-one fleet median off one ascending mirror of those medians
+// by index arithmetic (stats.QuantileSortedExcluding), so no per-verdict
+// copy exists at any fleet size. Observes only mark the mirror dirty (a
+// registration leaves it as is: the mirror holds sampled members only);
+// the next read rebuilds it with one copy and one sort into a reusable
+// buffer. Every caller works in phases — observe every member, then read
+// every verdict (A3's eight components, the network example's ports, the
+// fleet experiments' barrier sweep over up to 2^20 disks) — so the mirror
+// is rebuilt once per phase: a full sweep is one O(P log P) sort plus P
+// binary searches, with zero allocation once the buffer has grown to
 // fleet size.
-//
-// The sorted mirror is maintained in one of two modes, switched on fleet
-// size. Small fleets (≤ peerIncrementalCutoff members) update it
-// incrementally on every Observe — O(P) memmove, cheap at that scale, and
-// verdicts stay exact under any interleaving of Observe and Verdict calls.
-// Above the cutoff the per-Observe memmove would dominate (a million-disk
-// sweep would move terabytes), so Observe only updates the member's cached
-// median and marks the mirror dirty; the next Verdict rebuilds it with one
-// O(P log P) sort into a reusable buffer. Large fleets should therefore
-// sweep in phases — observe every member, then read every verdict — which
-// is exactly what the fleet experiments' barrier hook does; a full sweep
-// at P=1M is one sort plus P binary searches, with zero allocation.
 type PeerSet struct {
 	cfg     PeerConfig
 	members map[string]*peerMember
-	list    []*peerMember // members in insertion order, the rebuild source
-	meds    []float64     // every member's cached window median, ascending
-	// medsDirty marks the mirror stale (large-fleet mode); the next verdict
-	// rebuilds it.
+	list    []*peerMember // members in registration order, the rebuild source
+	meds    []float64     // cached window medians of the sampled members, ascending
+	// medsDirty marks the mirror stale; the next read rebuilds it.
 	medsDirty bool
-	sorter    medsSorter // boxed once via pointer receiver: 0-alloc rebuilds
-	ids       []string   // sorted member ids; nil after a membership change
-
-	// Parallel sweep-engine scratch (sweep.go), reused across sweeps:
-	// per-worker sorted runs with their sorters and merge cursors, and the
-	// per-worker flag counters reduced in global member order.
-	runs       []float64
-	runSorters []medsSorter
-	runHeads   []int
-	runEnds    []int
+	ids       []string // sorted member ids; nil after a membership change
+	// flagCounts holds the sweep engine's per-worker flag counters
+	// (sweep.go), reused across sweeps.
 	flagCounts []int
-}
-
-// peerIncrementalCutoff is the fleet size above which PeerSet switches
-// from incremental sorted-mirror maintenance to deferred rebuild. Around
-// this point one O(P log P) sort per sweep undercuts P O(P) memmoves.
-const peerIncrementalCutoff = 512
-
-// medsSorter sorts the meds mirror in place under the sort.Float64s order
-// (NaNs first), matching stats.SortedInsert so the two maintenance modes
-// produce identical arrays. Pointer receiver: handing &p.sorter to
-// sort.Sort boxes a pointer, which never allocates.
-type medsSorter struct{ s []float64 }
-
-func (m *medsSorter) Len() int      { return len(m.s) }
-func (m *medsSorter) Swap(i, j int) { m.s[i], m.s[j] = m.s[j], m.s[i] }
-func (m *medsSorter) Less(i, j int) bool {
-	a, b := m.s[i], m.s[j]
-	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
 }
 
 type peerMember struct {
 	window       *stats.Window
-	med          float64 // cached window.Median(), maintained by Observe
+	med          float64 // cached window.Median(), maintained by observe
 	lastProgress float64
 	sawAnything  bool
 	idx          int32 // dense sweep index: position in list
@@ -328,10 +298,17 @@ func NewPeerSet(cfg PeerConfig) *PeerSet {
 // Observe records a rate sample for the named component.
 func (p *PeerSet) Observe(id string, now, rate float64) {
 	m := p.members[id]
-	fresh := m == nil
-	if fresh {
+	if m == nil {
 		m = p.addMember(id)
 	}
+	m.observe(now, rate)
+	p.medsDirty = true
+}
+
+// observe records one sample in the member's window and refreshes its
+// cached median. It touches only member-private state, so the sweep
+// engine runs it on disjoint members concurrently.
+func (m *peerMember) observe(now, rate float64) {
 	if !m.sawAnything {
 		m.lastProgress = now
 		m.sawAnything = true
@@ -340,19 +317,7 @@ func (p *PeerSet) Observe(id string, now, rate float64) {
 		m.lastProgress = now
 	}
 	m.window.Observe(rate)
-	med := m.window.Median()
-	if len(p.members) > peerIncrementalCutoff || p.medsDirty {
-		// Large fleet — or a sweep already deferred maintenance: the mirror
-		// is (or will be) stale, so incremental upkeep would corrupt it.
-		// Defer to the next verdict's rebuild instead.
-		p.medsDirty = true
-	} else {
-		if !fresh {
-			p.meds = stats.SortedRemove(p.meds, m.med)
-		}
-		p.meds = stats.SortedInsert(p.meds, med)
-	}
-	m.med = med
+	m.med = m.window.Median()
 }
 
 // addMember creates and indexes a fresh member.
@@ -367,20 +332,34 @@ func (p *PeerSet) addMember(id string) *peerMember {
 	return m
 }
 
-// rebuildMeds regenerates the ascending medians mirror from every member's
-// cached median: one copy in insertion order, one in-place sort, no
+// rebuildMeds regenerates the ascending mirror from the cached median of
+// every member holding at least one sample — a registered member that has
+// never reported is nobody's peer. One copy in registration order, one
+// in-place slices.Sort (NaNs first, the sort.Float64s order), no
 // allocation once the buffer has grown to fleet size.
 func (p *PeerSet) rebuildMeds() {
 	if cap(p.meds) < len(p.list) {
-		p.meds = make([]float64, len(p.list), 2*len(p.list))
+		p.meds = make([]float64, 0, 2*len(p.list))
 	}
-	p.meds = p.meds[:len(p.list)]
-	for i, m := range p.list {
-		p.meds[i] = m.med
+	meds := p.meds[:0]
+	for _, m := range p.list {
+		if m.window.Len() > 0 {
+			meds = append(meds, m.med)
+		}
 	}
-	p.sorter.s = p.meds
-	sort.Sort(&p.sorter)
+	slices.Sort(meds)
+	p.meds = meds
 	p.medsDirty = false
+}
+
+// sortedMeds returns the ascending mirror, rebuilding it first if an
+// observe has left it stale. Every reader of the mirror — Verdict,
+// SweepVerdicts and the evidence behind a verdict — goes through here.
+func (p *PeerSet) sortedMeds() []float64 {
+	if p.medsDirty {
+		p.rebuildMeds()
+	}
+	return p.meds
 }
 
 // Members returns the component ids in sorted order. The slice is cached
@@ -396,17 +375,13 @@ func (p *PeerSet) Members() []string {
 	return p.ids
 }
 
-// peerMedian computes the median of all members' cached recent medians,
-// excluding the given member. The member's entry is located by binary
-// search (duplicates are interchangeable — excluding any one of them
-// leaves the same multiset) and skipped by index arithmetic: no copy at
-// any fleet size.
-func (p *PeerSet) peerMedian(m *peerMember) float64 {
-	if len(p.meds) <= 1 {
-		return math.NaN()
-	}
-	j := stats.SearchSorted(p.meds, m.med)
-	return stats.QuantileSortedExcluding(p.meds, j, 0.5)
+// peerMedian computes the median of the sorted mirror meds excluding the
+// sampled member m. Its entry is located by binary search (duplicates are
+// interchangeable — excluding any one of them leaves the same multiset)
+// and skipped by index arithmetic: no copy at any fleet size. NaN when m
+// has no peers.
+func peerMedian(meds []float64, m *peerMember) float64 {
+	return stats.QuantileSortedExcluding(meds, stats.SearchSorted(meds, m.med), 0.5)
 }
 
 // Verdict classifies the named component as of the given time.
@@ -418,10 +393,7 @@ func (p *PeerSet) Verdict(id string, now float64) spec.Verdict {
 	if v, done := p.quickVerdict(m, now); done {
 		return v
 	}
-	if p.medsDirty {
-		p.rebuildMeds()
-	}
-	return p.classify(m)
+	return p.classify(p.sortedMeds(), m)
 }
 
 // quickVerdict resolves the verdicts that need no fleet median: unseen
@@ -440,12 +412,11 @@ func (p *PeerSet) quickVerdict(m *peerMember, now float64) (v spec.Verdict, done
 	return spec.Nominal, false
 }
 
-// classify compares the member's cached median against the exclude-one
-// fleet median. The sorted mirror must be clean: callers rebuild before
-// classifying (the parallel sweep rebuilds once, then fans classify
-// read-only across workers).
-func (p *PeerSet) classify(m *peerMember) spec.Verdict {
-	ref := p.peerMedian(m)
+// classify compares the sampled member's cached median against the
+// exclude-one median of the clean mirror meds. It only reads, so the
+// sweep engine fans it across workers after one rebuild.
+func (p *PeerSet) classify(meds []float64, m *peerMember) spec.Verdict {
+	ref := peerMedian(meds, m)
 	if math.IsNaN(ref) {
 		return spec.Nominal
 	}

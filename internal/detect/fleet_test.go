@@ -10,15 +10,13 @@ import (
 	"failstutter/internal/stats"
 )
 
-// TestPeerSetLargeFleetMatchesBruteForce drives a fleet past the
-// incremental cutoff into deferred-rebuild mode and cross-checks every
-// verdict against an independent brute-force reference: window medians
-// recomputed from the raw samples, exclude-one fleet medians from a fresh
-// sort. The two sorted-mirror maintenance modes must be observationally
-// identical.
+// TestPeerSetLargeFleetMatchesBruteForce drives a 552-member fleet
+// through the per-id Observe path and cross-checks every verdict against
+// an independent brute-force reference: window medians recomputed from
+// the raw samples, exclude-one fleet medians from a fresh sort.
 func TestPeerSetLargeFleetMatchesBruteForce(t *testing.T) {
 	const (
-		peers  = peerIncrementalCutoff + 40
+		peers  = 552
 		window = 5
 		rounds = 9
 	)
@@ -70,15 +68,16 @@ func TestPeerSetLargeFleetMatchesBruteForce(t *testing.T) {
 }
 
 // TestPeerSetInterleavedAcrossCutoff interleaves Observe and Verdict while
-// the fleet grows through the cutoff: every verdict issued mid-growth must
-// match a brute-force reference over the members seen so far, proving the
-// mode switch has no observable seam.
+// the fleet grows from 1 to 542 members: every verdict issued mid-growth
+// must match a brute-force reference over the members seen so far, so
+// rebuilding the mirror on a read after each observe leaves no seam at
+// any fleet size.
 func TestPeerSetInterleavedAcrossCutoff(t *testing.T) {
 	cfg := PeerConfig{WindowSamples: 3, Threshold: 0.7, MinPeers: 4}
 	p := NewPeerSet(cfg)
 	rng := rand.New(rand.NewSource(12))
 	var meds []float64
-	for i := 0; i < peerIncrementalCutoff+30; i++ {
+	for i := 0; i < 542; i++ {
 		rate := 90 + 20*rng.Float64()
 		if i%50 == 0 {
 			rate *= 0.2
@@ -149,5 +148,67 @@ func TestPeerSetMillionMemberSweepNoAllocs(t *testing.T) {
 	}
 	if faulty == 0 {
 		t.Fatal("sweep flagged nothing; straggler injection broken")
+	}
+}
+
+// TestPeerSetSilentMembersAreNotPeers registers a fleet of which only
+// half ever reports: a registered member with no sample has no median, so
+// it must not drag the peer median toward zero. The 60-rate straggler
+// sits below 0.7 of its reporting peers' 100 and must be flagged at
+// every fleet size, as the brute-force reference says.
+func TestPeerSetSilentMembersAreNotPeers(t *testing.T) {
+	for _, peers := range []int{20, 600} {
+		t.Run(fmt.Sprintf("peers=%d", peers), func(t *testing.T) {
+			p := NewPeerSet(PeerConfig{WindowSamples: 4, Threshold: 0.7, MinPeers: 4})
+			ids := make([]string, peers)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("d%04d", i)
+				p.Register(ids[i])
+			}
+			const straggler = 0
+			for i := 0; i < peers/2; i++ {
+				rate := 100.0
+				if i == straggler {
+					rate = 60
+				}
+				p.Observe(ids[i], 1, rate)
+			}
+			if got := p.Verdict(ids[straggler], 1); got != spec.PerfFaulty {
+				t.Fatalf("straggler verdict %v, want %v", got, spec.PerfFaulty)
+			}
+			for _, id := range ids {
+				if got, want := p.Verdict(id, 1), refPeerVerdict(p, id, 1); got != want {
+					t.Fatalf("member %s: verdict %v, brute force says %v", id, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestPeerSetEvidenceTracksFleetShift pins the audit evidence to the
+// current fleet: after every member moves from 100 to 10, the peer median
+// a member's evidence reports must be 10, not the mirror left over from
+// the last verdict read.
+func TestPeerSetEvidenceTracksFleetShift(t *testing.T) {
+	for _, peers := range []int{20, 600} {
+		t.Run(fmt.Sprintf("peers=%d", peers), func(t *testing.T) {
+			p := NewPeerSet(PeerConfig{WindowSamples: 1, Threshold: 0.7, MinPeers: 4})
+			ids := make([]string, peers)
+			for i := range ids {
+				ids[i] = fmt.Sprintf("d%04d", i)
+				p.Observe(ids[i], 1, 100)
+			}
+			for _, id := range ids {
+				p.Verdict(id, 1)
+			}
+			for _, id := range ids {
+				p.Observe(id, 2, 10)
+			}
+			ev := EvidenceOf(p.ComponentDetector(ids[0]))
+			if ev.Observed != 10 || ev.Reference != 10 {
+				t.Fatalf("evidence after the shift: observed %v, peer median %v; want 10 and 10",
+					ev.Observed, ev.Reference)
+			}
+		})
 	}
 }

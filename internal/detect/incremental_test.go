@@ -60,17 +60,7 @@ func refPeerVerdict(p *PeerSet, id string, now float64) spec.Verdict {
 	if len(p.members) < p.cfg.MinPeers || m.window.Len() == 0 {
 		return spec.Nominal
 	}
-	var meds []float64
-	for other, om := range p.members {
-		if other == id || om.window.Len() == 0 {
-			continue
-		}
-		meds = append(meds, stats.Median(om.window.Values()))
-	}
-	if len(meds) == 0 {
-		return spec.Nominal
-	}
-	ref := stats.Median(meds)
+	ref := refPeerMedian(p, id)
 	if math.IsNaN(ref) {
 		return spec.Nominal
 	}
@@ -78,6 +68,20 @@ func refPeerVerdict(p *PeerSet, id string, now float64) spec.Verdict {
 		return spec.PerfFaulty
 	}
 	return spec.Nominal
+}
+
+// refPeerMedian is the median of every other sampled member's window
+// median, recomputed from the raw samples; NaN when no other member has
+// a sample.
+func refPeerMedian(p *PeerSet, id string) float64 {
+	var meds []float64
+	for other, om := range p.members {
+		if other == id || om.window.Len() == 0 {
+			continue
+		}
+		meds = append(meds, stats.Median(om.window.Values()))
+	}
+	return stats.Median(meds)
 }
 
 // Property: the cached-median PeerSet issues the same verdicts as the

@@ -2,8 +2,6 @@ package detect
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"failstutter/internal/spec"
 )
@@ -15,21 +13,15 @@ import (
 // loop:
 //
 //   - SweepObserve partitions the fleet's members into contiguous dense
-//     index ranges, one per worker; each member's window and cached
-//     median are member-private, so workers touch disjoint state. The
-//     mirror is not maintained incrementally — it is marked dirty once
-//     and rebuilt at verdict time, exactly like the serial large-fleet
-//     mode.
-//   - The rebuild replaces the single-threaded O(P log P) sort with a
-//     parallel sort of per-worker runs followed by a k-way merge. The
-//     merged array is the same multiset in the same ascending order a
-//     global sort would produce, so the rebuild is bit-identical to the
-//     serial one at every worker count (a property test pins this on
-//     random streams).
-//   - SweepVerdicts fans the read-only exclude-one quantile
-//     classification across the same index ranges, counting flags in
-//     per-worker counters that are reduced in global member order after
-//     the barrier, so the flag count never depends on goroutine timing.
+//     index ranges, one per worker, and runs the per-member observe on
+//     each; a member's window and cached median are member-private, so
+//     workers touch disjoint state. The mirror is only marked dirty.
+//   - SweepVerdicts rebuilds the mirror once on the caller — the same
+//     single sort a per-id Verdict would run — then fans the read-only
+//     exclude-one classification across the same index ranges, counting
+//     flags in per-worker counters that are reduced in global member
+//     order after the barrier, so the flag count never depends on
+//     goroutine timing.
 //
 // Byte-determinism therefore holds at every worker count: verdicts are
 // pure functions of member state and the (unique) sorted mirror, and
@@ -79,8 +71,7 @@ func (p *PeerSet) MemberCount() int { return len(p.list) }
 // member i's sample, all at the same timestamp — fanning the per-member
 // window updates across the pool's workers. Equivalent to calling
 // Observe for every member in dense order at the same now, and
-// byte-identical at any worker count; the sorted mirror is deferred to
-// the next verdict's rebuild, exactly like the serial large-fleet mode.
+// byte-identical at any worker count.
 func (p *PeerSet) SweepObserve(par Parallel, now float64, rates []float64) {
 	n := len(p.list)
 	if len(rates) != n {
@@ -97,28 +88,17 @@ func (p *PeerSet) SweepObserve(par Parallel, now float64, rates []float64) {
 	par.Do(func(w int) {
 		lo, hi := sweepChunk(n, workers, w)
 		for i := lo; i < hi; i++ {
-			m := p.list[i]
-			rate := rates[i]
-			if !m.sawAnything {
-				m.lastProgress = now
-				m.sawAnything = true
-			}
-			if rate > 0 {
-				m.lastProgress = now
-			}
-			m.window.Observe(rate)
-			m.med = m.window.Median()
+			p.list[i].observe(now, rates[i])
 		}
 	})
 }
 
 // SweepVerdicts classifies every member as of now, writing dense member
 // i's verdict to out[i], and returns the number of non-nominal members.
-// A stale mirror is rebuilt first — in parallel, via the sorted-run
-// merge — then the exclude-one classification fans read-only across the
-// workers; the per-worker flag counters are reduced in global member
-// order, so the count and every byte of out are identical at any worker
-// count.
+// A stale mirror is rebuilt once, before the fan-out; the exclude-one
+// classification then runs read-only across the workers, and the
+// per-worker flag counters are reduced in global member order, so the
+// count and every byte of out are identical at any worker count.
 func (p *PeerSet) SweepVerdicts(par Parallel, now float64, out []spec.Verdict) int {
 	n := len(p.list)
 	if len(out) != n {
@@ -130,9 +110,7 @@ func (p *PeerSet) SweepVerdicts(par Parallel, now float64, out []spec.Verdict) i
 	if par == nil {
 		par = Serial
 	}
-	if p.medsDirty {
-		p.rebuildMedsParallel(par)
-	}
+	meds := p.sortedMeds()
 	workers := par.Workers()
 	if cap(p.flagCounts) < workers {
 		p.flagCounts = make([]int, workers)
@@ -145,7 +123,7 @@ func (p *PeerSet) SweepVerdicts(par Parallel, now float64, out []spec.Verdict) i
 			m := p.list[i]
 			v, done := p.quickVerdict(m, now)
 			if !done {
-				v = p.classify(m)
+				v = p.classify(meds, m)
 			}
 			out[i] = v
 			if v != spec.Nominal {
@@ -159,81 +137,4 @@ func (p *PeerSet) SweepVerdicts(par Parallel, now float64, out []spec.Verdict) i
 		total += c
 	}
 	return total
-}
-
-// peerParallelRebuildMin is the fleet size below which the parallel
-// rebuild falls back to the serial sort: under it the fork-join handshake
-// costs more than the sort it would split. The fallback is invisible —
-// both paths produce bit-identical mirrors.
-const peerParallelRebuildMin = 1024
-
-// rebuildMedsParallel regenerates the ascending medians mirror with the
-// pool: every member's cached median is copied into its worker's
-// contiguous run, each run is sorted in parallel under the serial
-// rebuild's exact order (NaNs first, then ascending), and the sorted
-// runs are combined by a k-way merge into the mirror. The merge emits
-// the same multiset in the same total order as one global sort, so the
-// result is bit-identical to rebuildMeds at every worker count.
-func (p *PeerSet) rebuildMedsParallel(par Parallel) {
-	n := len(p.list)
-	workers := par.Workers()
-	if workers <= 1 || n < peerParallelRebuildMin {
-		p.rebuildMeds()
-		return
-	}
-	if cap(p.runs) < n {
-		p.runs = make([]float64, n, 2*n)
-	}
-	runs := p.runs[:n]
-	if cap(p.runSorters) < workers {
-		p.runSorters = make([]medsSorter, workers)
-		p.runHeads = make([]int, workers)
-		p.runEnds = make([]int, workers)
-	}
-	sorters := p.runSorters[:workers]
-	heads := p.runHeads[:workers]
-	ends := p.runEnds[:workers]
-	par.Do(func(w int) {
-		lo, hi := sweepChunk(n, workers, w)
-		for i := lo; i < hi; i++ {
-			runs[i] = p.list[i].med
-		}
-		sorters[w].s = runs[lo:hi]
-		sort.Sort(&sorters[w])
-	})
-	for w := 0; w < workers; w++ {
-		heads[w], ends[w] = sweepChunk(n, workers, w)
-	}
-	if cap(p.meds) < n {
-		p.meds = make([]float64, n, 2*n)
-	}
-	meds := p.meds[:n]
-	// k-way merge by linear scan over the run heads: the worker count is
-	// small, so each pick is a handful of cache-resident compares. Ties
-	// take the lowest run, which cannot change the emitted bytes — tied
-	// heads hold equal values (NaNs included: the medians are window
-	// medians, never distinct NaN payloads).
-	for out := 0; out < n; out++ {
-		best := -1
-		var bestV float64
-		for w := 0; w < workers; w++ {
-			if heads[w] >= ends[w] {
-				continue
-			}
-			v := runs[heads[w]]
-			if best < 0 || medsLess(v, bestV) {
-				best, bestV = w, v
-			}
-		}
-		meds[out] = bestV
-		heads[best]++
-	}
-	p.meds = meds
-	p.medsDirty = false
-}
-
-// medsLess is the mirror's total order — sort.Float64s order, NaNs
-// first — shared by the serial sorter and the parallel merge.
-func medsLess(a, b float64) bool {
-	return a < b || (math.IsNaN(a) && !math.IsNaN(b))
 }

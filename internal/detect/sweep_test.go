@@ -2,7 +2,6 @@ package detect
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -32,10 +31,9 @@ func (p testPool) Do(fn func(worker int)) {
 // TestSweepMatchesSerial drives two identical fleets — one through the
 // per-id Observe/Verdict path, one through SweepObserve/SweepVerdicts on
 // a multi-worker pool — and requires identical verdicts and flag counts
-// at every sweep. Fleet sizes straddle the incremental cutoff and the
-// parallel-rebuild threshold so every maintenance mode is crossed.
+// at every sweep, at fleet sizes from 64 to 1124 members.
 func TestSweepMatchesSerial(t *testing.T) {
-	for _, peers := range []int{64, peerIncrementalCutoff + 50, peerParallelRebuildMin + 100} {
+	for _, peers := range []int{64, 562, 1124} {
 		for _, workers := range []int{1, 2, 3, 8} {
 			t.Run(fmt.Sprintf("peers=%d/workers=%d", peers, workers), func(t *testing.T) {
 				cfg := PeerConfig{WindowSamples: 4, Threshold: 0.7, MinPeers: 4, PromotionTimeout: 2.5}
@@ -92,9 +90,8 @@ func TestSweepMatchesSerial(t *testing.T) {
 }
 
 // TestSweepThenObserveKeepsMirrorConsistent interleaves a sweep with
-// later per-id Observe calls on a small fleet: the sweep defers mirror
-// maintenance, so a subsequent incremental Observe must not corrupt the
-// stale mirror. Verdicts after the mix must match a serially-driven twin.
+// later per-id Observe calls on a small fleet: verdicts after the mix
+// must match a serially-driven twin.
 func TestSweepThenObserveKeepsMirrorConsistent(t *testing.T) {
 	cfg := PeerConfig{WindowSamples: 3, Threshold: 0.7, MinPeers: 4}
 	mixed := NewPeerSet(cfg)
@@ -120,53 +117,6 @@ func TestSweepThenObserveKeepsMirrorConsistent(t *testing.T) {
 	for _, id := range ids {
 		if got, want := mixed.Verdict(id, 2), serial.Verdict(id, 2); got != want {
 			t.Fatalf("member %s after sweep+observe mix: verdict %v, want %v", id, got, want)
-		}
-	}
-}
-
-// TestParallelRebuildBitIdentical is the merge-rebuild property test: on
-// fleets of 10k random streams, the parallel sorted-run merge must
-// reproduce the serial rebuild's mirror bit for bit (math.Float64bits
-// equality, not approximate), at every worker count.
-func TestParallelRebuildBitIdentical(t *testing.T) {
-	const peers = 10_000
-	for trial := 0; trial < 3; trial++ {
-		cfg := PeerConfig{WindowSamples: 4, Threshold: 0.7, MinPeers: 4}
-		a := NewPeerSet(cfg)
-		b := NewPeerSet(cfg)
-		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		rates := make([]float64, peers)
-		for i := 0; i < peers; i++ {
-			id := fmt.Sprintf("s%05d", i)
-			a.Register(id)
-			b.Register(id)
-		}
-		for round := 0; round < 3; round++ {
-			for i := range rates {
-				// Quantized rates force plenty of exact duplicates — the
-				// stress case for merge tie-breaking.
-				rates[i] = math.Floor(rng.Float64()*64) / 8
-			}
-			a.SweepObserve(Serial, float64(round), rates)
-			b.SweepObserve(Serial, float64(round), rates)
-		}
-		a.rebuildMeds()
-		for _, workers := range []int{2, 3, 5, 8, 16} {
-			b.medsDirty = true
-			b.rebuildMedsParallel(testPool{n: workers})
-			if len(a.meds) != len(b.meds) {
-				t.Fatalf("trial %d workers %d: mirror lengths differ (%d vs %d)",
-					trial, workers, len(a.meds), len(b.meds))
-			}
-			for i := range a.meds {
-				if math.Float64bits(a.meds[i]) != math.Float64bits(b.meds[i]) {
-					t.Fatalf("trial %d workers %d: mirror[%d] differs: serial %v, parallel %v",
-						trial, workers, i, a.meds[i], b.meds[i])
-				}
-			}
-			if b.medsDirty {
-				t.Fatalf("trial %d workers %d: parallel rebuild left the mirror dirty", trial, workers)
-			}
 		}
 	}
 }

@@ -233,7 +233,7 @@ func RunFleetScenario(p FleetParams) FleetResult {
 	// The barrier drains every tick's samples into the fleet sweep: all
 	// shards have sampled tick k once the window horizon passes k. The
 	// sweep itself fans across the kernel's barrier pool — observe all,
-	// rebuild the median mirror by parallel sort + k-way merge, classify
+	// rebuild the median mirror with one sort on the coordinator, classify
 	// all — with every reduction in dense disk order, so the outcome is
 	// byte-identical at any worker count. Only the serial bookkeeping loop
 	// below reads the verdicts.

@@ -696,14 +696,22 @@ func predictE29(in Input, r *Report) {
 	r.check(in, "bsp-superstep", "slowdown_static", 4, TwoSided, 0.01)
 
 	// Elastic rounds: the barrier remains, but within a round the pool
-	// obeys the list-scheduling bracket over grains.
+	// obeys the list-scheduling bracket over grains. The ceiling adds the
+	// barrier engine's dispatch skew: every grain pull lands at the window
+	// horizon, up to one lookahead L (the cluster plane's L is one
+	// quantum) after the completion that freed its worker — at most
+	// workers*v/grain gaps per round, absorbed by the pool's total speed —
+	// and each later round starts up to L after its predecessor's barrier.
 	r.check(in, "bsp-superstep", "healthy_ms_elastic", healthy, TwoSided, 0.01)
 	roundLower := mWorkers * v * mQuantum / sTotal
 	roundUpper := roundLower + grain*mQuantum/0.25
+	const lookahead = mQuantum
+	skew := rounds*(mWorkers*v/grain)*lookahead/sTotal + (rounds-1)*lookahead
+	slowUpper := rounds*roundUpper + skew
 	r.check(in, "bsp-superstep", "slow_ms_elastic", rounds*roundLower*1e3, Lower, 0.005)
-	r.check(in, "bsp-superstep", "slow_ms_elastic", rounds*roundUpper*1e3, Upper, 0.01)
+	r.check(in, "bsp-superstep", "slow_ms_elastic", slowUpper*1e3, Upper, 0.01)
 	r.check(in, "bsp-superstep", "slowdown_elastic", mWorkers/sTotal, Lower, 0.02)
-	r.check(in, "bsp-superstep", "slowdown_elastic", roundUpper/(v*mQuantum), Upper, 0.02)
+	r.check(in, "bsp-superstep", "slowdown_elastic", slowUpper/(rounds*v*mQuantum), Upper, 0.02)
 }
 
 // ---------------------------------------------------------------------------

@@ -113,28 +113,6 @@ func MedianInPlace(xs []float64) float64 { return QuantileInPlace(xs, 0.5) }
 // occurrence when present, else its insertion point.
 func SearchSorted(s []float64, x float64) int { return searchFirstGE(s, x) }
 
-// SortedInsert inserts x into ascending-sorted s, returning the extended
-// slice. Allocation-free while cap(s) > len(s).
-func SortedInsert(s []float64, x float64) []float64 {
-	idx := searchFirstGE(s, x)
-	s = append(s, 0)
-	copy(s[idx+1:], s[idx:])
-	s[idx] = x
-	return s
-}
-
-// SortedRemove removes one occurrence of x from ascending-sorted s,
-// returning the shortened slice; s is returned unchanged when x is
-// absent. NaNs match each other.
-func SortedRemove(s []float64, x float64) []float64 {
-	idx := searchFirstGE(s, x)
-	if idx >= len(s) || (s[idx] != x && !(math.IsNaN(s[idx]) && math.IsNaN(x))) {
-		return s
-	}
-	copy(s[idx:], s[idx+1:])
-	return s[:len(s)-1]
-}
-
 // QuantileSorted returns the q-quantile of an already ascending-sorted
 // slice in O(1), without copying. Callers that sort once and read several
 // quantiles should prefer this over repeated Quantile calls.

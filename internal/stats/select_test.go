@@ -115,49 +115,6 @@ func TestQuantileSortedMatchesQuantile(t *testing.T) {
 	}
 }
 
-// Property: a slice maintained through SortedInsert/SortedRemove always
-// equals sorting the surviving multiset.
-func TestSortedInsertRemoveProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 1000; trial++ {
-		var s []float64
-		var live []float64
-		for op := 0; op < 60; op++ {
-			if len(live) > 0 && rng.Intn(3) == 0 {
-				i := rng.Intn(len(live))
-				x := live[i]
-				live = append(live[:i], live[i+1:]...)
-				s = SortedRemove(s, x)
-			} else {
-				x := float64(rng.Intn(8))
-				live = append(live, x)
-				s = SortedInsert(s, x)
-			}
-			want := append([]float64(nil), live...)
-			sort.Float64s(want)
-			if len(s) != len(want) {
-				t.Fatalf("trial %d: len %d, want %d", trial, len(s), len(want))
-			}
-			for i := range want {
-				if s[i] != want[i] {
-					t.Fatalf("trial %d: maintained %v, want %v", trial, s, want)
-				}
-			}
-		}
-	}
-	if got := SortedRemove([]float64{1, 2}, 5); len(got) != 2 {
-		t.Fatal("SortedRemove of absent value changed the slice")
-	}
-	nan := math.NaN()
-	s := SortedInsert(SortedInsert(nil, 1), nan)
-	if !math.IsNaN(s[0]) || s[1] != 1 {
-		t.Fatalf("NaN not ordered first: %v", s)
-	}
-	if s = SortedRemove(s, nan); len(s) != 1 || s[0] != 1 {
-		t.Fatalf("NaN not removed: %v", s)
-	}
-}
-
 func TestSearchSorted(t *testing.T) {
 	s := []float64{1, 2, 2, 4}
 	for _, tc := range []struct {
