@@ -71,7 +71,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"unknown-id", []string{"run", "E99"}, 2, `unknown experiment "E99"`},
 		{"run-without-ids", []string{"run"}, 2, "at least one experiment id required"},
 		{"bad-format", []string{"-format", "xml", "list"}, 2, `unknown format "xml"`},
-		{"uncovered-oracle", []string{"oracle", "E01", "E06", "-quick", "-out", oracleDir}, 2, "no predictor for experiment E06"},
+		{"uncovered-oracle", []string{"oracle", "E01", "E09", "-quick", "-out", oracleDir}, 2, "no predictor for experiment E09"},
 		{"list", []string{"list"}, 0, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

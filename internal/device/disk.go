@@ -83,6 +83,7 @@ type Disk struct {
 	zoneStartBlock []int64 // first block of each zone
 	lastBlock      int64   // for sequential-access detection
 	haveLast       bool
+	memo           serviceMemo // last single-zone service time
 
 	bytesDone float64
 	reads     uint64
@@ -242,13 +243,33 @@ func (d *Disk) isRemapped(block int64) bool {
 	return int64(h%uint64(d.params.CapacityBlocks)) < d.params.RemappedBlocks
 }
 
+// serviceMemo holds the last single-zone access's service time, keyed by
+// everything the per-block loop reads on a disk without remapped blocks:
+// the zone, the length and whether the seek was added first. A hit returns
+// the bits the same float additions in the same order produced. The zero
+// memo never hits: no access has zero blocks.
+type serviceMemo struct {
+	zone   int
+	blocks int64
+	seek   bool
+	t      float64
+}
+
 // serviceTime computes the nominal service seconds for an access.
 func (d *Disk) serviceTime(block int64, blocks int64) float64 {
-	if block < 0 || blocks <= 0 || block+blocks > d.params.CapacityBlocks {
+	if block < 0 || blocks <= 0 || blocks > d.params.CapacityBlocks-block {
 		panic(fmt.Sprintf("device: disk %q access [%d, +%d) out of range", d.params.Name, block, blocks))
 	}
+	seek := !d.haveLast || block != d.lastBlock+1
+	d.lastBlock = block + blocks - 1
+	d.haveLast = true
+	zone := d.zoneOf(block)
+	memoable := d.params.RemappedBlocks == 0 && zone == d.zoneOf(block+blocks-1)
+	if m := d.memo; memoable && m.zone == zone && m.blocks == blocks && m.seek == seek {
+		return m.t
+	}
 	t := 0.0
-	if !d.haveLast || block != d.lastBlock+1 {
+	if seek {
 		t += d.params.SeekTime
 	}
 	for i := int64(0); i < blocks; i++ {
@@ -259,8 +280,9 @@ func (d *Disk) serviceTime(block int64, blocks int64) float64 {
 			t += d.params.RemapPenalty
 		}
 	}
-	d.lastBlock = block + blocks - 1
-	d.haveLast = true
+	if memoable {
+		d.memo = serviceMemo{zone: zone, blocks: blocks, seek: seek, t: t}
+	}
 	return t
 }
 

@@ -237,6 +237,17 @@ func TestDiskOutOfRangePanics(t *testing.T) {
 			t.Fatal("out-of-range access did not panic")
 		}
 	}()
+	// block+blocks overflows int64 here, so a range check that sums them
+	// wraps negative and lets the access through.
+	t.Run("end_overflows_int64", func(t *testing.T) {
+		d := MustDisk(sim.New(), HawkParams("hawk"))
+		defer func() {
+			if recover() == nil {
+				t.Fatal("access [MaxInt64-1, +10) did not panic")
+			}
+		}()
+		d.Read(math.MaxInt64-1, 10, nil)
+	})
 	d.Read(d.Params().CapacityBlocks-5, 10, nil)
 }
 

@@ -31,6 +31,7 @@ var predictors = map[string]predictor{
 	"E03": predictE03,
 	"E04": predictE04,
 	"E05": predictE05,
+	"E06": predictE06,
 	"E07": predictE07,
 	"E08": predictE08,
 	"E13": predictE13,
@@ -43,7 +44,7 @@ var predictors = map[string]predictor{
 
 // coveredOrder is the display order of covered experiments.
 var coveredOrder = []string{
-	"E01", "E02", "E03", "E04", "E05", "E07", "E08", "E13", "E14", "E15", "E23", "E29", "E32",
+	"E01", "E02", "E03", "E04", "E05", "E06", "E07", "E08", "E13", "E14", "E15", "E23", "E29", "E32",
 }
 
 // Covered lists the experiments the oracle has predictors for, in id
@@ -447,6 +448,40 @@ func predictE05(in Input, r *Report) {
 	g := hawkGeom()
 	healthy := float64(blocks) * mBlockBytes / g.readSeconds(0, blocks)
 	r.check(in, "disk-model", "healthy_bw", healthy, TwoSided, 1e-9)
+}
+
+// ---------------------------------------------------------------------------
+// E06 — SCSI error census and chain resets. Timeout/parity errors and
+// chain resets both arrive at 2/day, so their counts are Poisson with a
+// 6-sigma band; the census shares follow exactly from the observed count
+// and the study's 49:44:7 mix, rounded as the census rounds it. Eight
+// flat disks stream 16384-block reads for one day: each reset stalls the
+// chain for 2 s, and on top of that a disk loses at most the read in
+// flight at the horizon and one seek per pass over the disk.
+
+func predictE06(in Input, r *Report) {
+	days := float64(scale(in.Quick, 14, 180))
+	census := 2 * days
+	r.check(in, "poisson", "errors_per_day", 2, TwoSided, 6*math.Sqrt(census)/census)
+	r.check(in, "poisson", "resets_day", 2, TwoSided, 6*math.Sqrt(2)/2)
+
+	perDay, _ := in.Table.Metric("errors_per_day")
+	n := math.Round(perDay * days)
+	network := math.Floor(n*44/49 + 0.5)
+	other := math.Floor(n*7/49 + 0.5)
+	r.check(in, "census", "share_all", n/(n+network+other), TwoSided, 0)
+	r.check(in, "census", "share_no_network", n/(n+other), TwoSided, 0)
+
+	const (
+		day      = 86400.0
+		bw       = 5.5e6   // chain disk bandwidth, bytes/s
+		capacity = 1 << 24 // flatDisk capacity, blocks
+		chunk    = 16384   // blocks per streaming read
+	)
+	resets, _ := in.Table.Metric("resets_day")
+	passes := math.Ceil(day * bw / mBlockBytes / capacity)
+	lost := resets*2 + chunk*mBlockBytes/bw + passes*mFlatSeek
+	r.check(in, "chain-stall", "chain_loss_frac", lost/day, Upper, 1e-9)
 }
 
 // ---------------------------------------------------------------------------
