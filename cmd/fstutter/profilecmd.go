@@ -195,8 +195,8 @@ func oversubscription(gomaxprocs, numcpu, shards, sweepWorkers int) string {
 //
 // On top of the quick-mode experiment targets, the mega-fleet scenario
 // runs at full scale (~1M disks) twice — one shard, then one shard per
-// core — recording wall-clock ns per run, the sharded configuration's
-// events/sec, and the serial-vs-sharded speedup. These runs cost tens of
+// core — recording wall-clock ns per run, events/sec, bytes and
+// allocations per run, and the serial-vs-sharded speedup. These runs cost tens of
 // seconds each, so they are capped at two samples regardless of
 // -samples.
 //
@@ -300,6 +300,8 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 	for _, c := range configs {
 		b := profile.Bench{Name: c.name, Unit: "ns/op"}
 		rates := profile.Bench{Name: c.name + "/events", Unit: "events/s"}
+		bytes := profile.Bench{Name: c.name + "/bytes", Unit: "B/op"}
+		allocs := profile.Bench{Name: c.name + "/allocs", Unit: "allocs/op"}
 		for i := 0; i < c.samples; i++ {
 			var events uint64
 			res := testing.Benchmark(func(tb *testing.B) {
@@ -325,11 +327,13 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 			ns := float64(res.NsPerOp())
 			b.Samples = append(b.Samples, ns)
 			rates.Samples = append(rates.Samples, float64(events)/(ns/1e9))
+			bytes.Samples = append(bytes.Samples, float64(res.AllocedBytesPerOp()))
+			allocs.Samples = append(allocs.Samples, float64(res.AllocsPerOp()))
 		}
-		fmt.Fprintf(os.Stderr, "bench %-24s (%d disks, %d shards, %d sweep workers) median %.4g ns/run, %.3g events/sec\n",
-			b.Name, megaFleetDisks, c.shards, resolveWorkers(c.workers), b.Median(), rates.Median())
+		fmt.Fprintf(os.Stderr, "bench %-24s (%d disks, %d shards, %d sweep workers) median %.4g ns/run, %.3g events/sec, %.4g B/run, %.4g allocs/run\n",
+			b.Name, megaFleetDisks, c.shards, resolveWorkers(c.workers), b.Median(), rates.Median(), bytes.Median(), allocs.Median())
 		medians[c.name] = b.Median()
-		art.Benchmarks = append(art.Benchmarks, b, rates)
+		art.Benchmarks = append(art.Benchmarks, b, rates, bytes, allocs)
 	}
 	if s, p := medians["fleet/1M/serial"], medians["fleet/1M/sharded"]; s > 0 && p > 0 {
 		fmt.Fprintf(os.Stderr, "bench fleet/1M speedup: sharded is %.2fx serial wall-clock\n", s/p)

@@ -255,16 +255,16 @@ type PeerConfig struct {
 //
 // Each member's window median is cached on observe, and a verdict reads
 // the exclude-one fleet median off one ascending mirror of those medians
-// by index arithmetic (stats.QuantileSortedExcluding), so no per-verdict
-// copy exists at any fleet size. Observes only mark the mirror dirty (a
+// in O(1) (stats.QuantileSortedExcluding), so no per-verdict copy or
+// search exists at any fleet size. Observes only mark the mirror dirty (a
 // registration leaves it as is: the mirror holds sampled members only);
 // the next read rebuilds it with one copy and one sort into a reusable
 // buffer. Every caller works in phases — observe every member, then read
 // every verdict (A3's eight components, the network example's ports, the
 // fleet experiments' barrier sweep over up to 2^20 disks) — so the mirror
 // is rebuilt once per phase: a full sweep is one O(P log P) sort plus P
-// binary searches, with zero allocation once the buffer has grown to
-// fleet size.
+// O(1) reads, with zero allocation once the buffer has grown to fleet
+// size.
 type PeerSet struct {
 	cfg     PeerConfig
 	members map[string]*peerMember
@@ -376,12 +376,11 @@ func (p *PeerSet) Members() []string {
 }
 
 // peerMedian computes the median of the sorted mirror meds excluding the
-// sampled member m. Its entry is located by binary search (duplicates are
-// interchangeable — excluding any one of them leaves the same multiset)
-// and skipped by index arithmetic: no copy at any fleet size. NaN when m
-// has no peers.
+// sampled member m's entry (duplicates are interchangeable — excluding any
+// one of them leaves the same multiset) in O(1): no search and no copy at
+// any fleet size. NaN when m has no peers.
 func peerMedian(meds []float64, m *peerMember) float64 {
-	return stats.QuantileSortedExcluding(meds, stats.SearchSorted(meds, m.med), 0.5)
+	return stats.QuantileSortedExcluding(meds, m.med, 0.5)
 }
 
 // Verdict classifies the named component as of the given time.

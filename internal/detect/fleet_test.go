@@ -53,7 +53,7 @@ func TestPeerSetLargeFleetMatchesBruteForce(t *testing.T) {
 	sorted := append([]float64(nil), meds...)
 	sort.Float64s(sorted)
 	for i, id := range ids {
-		j := stats.SearchSorted(sorted, meds[i])
+		j := sort.SearchFloat64s(sorted, meds[i])
 		rest := append(append([]float64(nil), sorted[:j]...), sorted[j+1:]...)
 		ref := stats.Median(rest)
 		want := spec.Nominal
@@ -91,7 +91,7 @@ func TestPeerSetInterleavedAcrossCutoff(t *testing.T) {
 		probe := rng.Intn(i + 1)
 		sorted := append([]float64(nil), meds...)
 		sort.Float64s(sorted)
-		j := stats.SearchSorted(sorted, meds[probe])
+		j := sort.SearchFloat64s(sorted, meds[probe])
 		rest := append(append([]float64(nil), sorted[:j]...), sorted[j+1:]...)
 		want := spec.Nominal
 		if meds[probe] < cfg.Threshold*stats.Median(rest) {

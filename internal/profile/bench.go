@@ -13,15 +13,16 @@ import (
 // BenchSchema identifies the benchmark artifact format.
 const BenchSchema = "fstutter-bench/1"
 
-// Bench is one benchmark's repeated measurements. Unit is "ns/op":
-// samples are nanoseconds per operation as reported by testing.B.
+// Bench is one benchmark's repeated measurements in Unit: "ns/op",
+// "B/op" or "allocs/op" as reported by testing.B, or a rate such as
+// "events/s".
 type Bench struct {
 	Name    string    `json:"name"`
 	Unit    string    `json:"unit"`
 	Samples []float64 `json:"samples"`
 }
 
-// Median returns the median sample in ns/op (NaN-free input assumed;
+// Median returns the median sample in Unit (NaN-free input assumed;
 // zero when empty).
 func (b Bench) Median() float64 {
 	if len(b.Samples) == 0 {

@@ -162,8 +162,8 @@ func rateOf(ns float64) float64 {
 
 // sampleRate converts one sample to a throughput the detectors can
 // compare: units ending in "/s" (events/s, ops/s) are already rates —
-// bigger is better — and pass through; anything else is treated as ns/op
-// and inverted.
+// bigger is better — and pass through; anything else (ns/op, B/op,
+// allocs/op) is a cost per operation, lower is better, and is inverted.
 func sampleRate(unit string, s float64) float64 {
 	if strings.HasSuffix(unit, "/s") {
 		if s <= 0 {

@@ -185,3 +185,37 @@ func benchName(c int) string { return "comp" + string(rune('a'+c/26%26)) + strin
 
 func BenchmarkShardedEventChain1(b *testing.B) { benchSharded(b, 1) }
 func BenchmarkShardedEventChain4(b *testing.B) { benchSharded(b, 4) }
+
+// benchHold is the hold model at the fleet's scale: 2^17 events stay
+// pending, and every firing reschedules itself after delay(). Reported
+// per fired event.
+func benchHold(b *testing.B, delay func() Duration) {
+	const pending = 1 << 17
+	s := New()
+	fired := 0
+	var fire func()
+	fire = func() {
+		if fired++; fired == b.N {
+			s.Stop()
+		}
+		s.After(delay(), fire)
+	}
+	for i := 0; i < pending; i++ {
+		s.After(delay(), fire)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+}
+
+// BenchmarkHoldTies is the fleet's regime: every firing reschedules
+// itself 0.5 s later, so all 2^17 pending events share a handful of exact
+// times — a healthy disk's completions on E32's 0.5 s grid.
+func BenchmarkHoldTies(b *testing.B) { benchHold(b, func() Duration { return 0.5 }) }
+
+// BenchmarkHoldRandom reschedules each firing at a random offset, so no
+// two events tie and the whole pending set lives in the heap.
+func BenchmarkHoldRandom(b *testing.B) {
+	rng := NewRNG(17)
+	benchHold(b, rng.Float64)
+}

@@ -12,7 +12,7 @@ import (
 
 // ShardedSimulator runs one simulation on all cores: components are
 // partitioned into shard groups, each shard owning a full event kernel
-// (its own arena, 4-ary heap and sequence counter), and the shards advance
+// (its own arena, pending set and sequence counter), and the shards advance
 // together through conservative safe windows.
 //
 // The synchronization protocol is the bounded-lag variant of conservative
@@ -242,7 +242,7 @@ func (ss *ShardedSimulator) EventsFired() uint64 {
 func (ss *ShardedSimulator) Pending() int {
 	n := 0
 	for _, s := range ss.shards {
-		n += len(s.heap)
+		n += s.Pending()
 	}
 	for _, ln := range ss.lanes {
 		n += len(ln)
@@ -413,22 +413,36 @@ func (ss *ShardedSimulator) runShard(i int, t, h, limit Time) (p *WorkerPanic) {
 }
 
 // holdsForkWork reports whether at least forkMinEvents queued events fall
-// in the window (before h and not after limit). The events in the window
-// form a subtree at the root of the 4-ary heap — every ancestor of an
-// event is due no later than it — so a depth-first walk that prunes at
-// the first ineligible node visits only that subtree and its frontier,
-// and stopping at forkMinEvents bounds the walk at O(forkMinEvents).
-// Events the window would spawn cannot be counted ahead of time, which
-// errs toward running inline.
+// in the window (before h and not after limit). The runs are sorted by
+// time, so the eligible ones form a prefix whose live counts add up
+// directly. The eligible heap events form a subtree at the root of the
+// 4-ary heap — every ancestor of an event is due no later than it — so a
+// depth-first walk that prunes at the first ineligible node visits only
+// that subtree and its frontier, and stopping at forkMinEvents bounds the
+// walk at O(forkMinEvents). Events the window would spawn cannot be
+// counted ahead of time, which errs toward running inline.
 func (s *Simulator) holdsForkWork(h, limit Time) bool {
+	if s.Pending() < forkMinEvents {
+		return false
+	}
+	found := 0
+	for _, r := range s.runs {
+		if r.at >= h || r.at > limit {
+			break
+		}
+		found += r.live
+	}
+	if found >= forkMinEvents {
+		return true
+	}
+	if len(s.heap) == 0 {
+		return false
+	}
 	// Each eligible node visited pops one position and pushes at most
 	// heapArity, and the walk stops at the forkMinEvents-th, so the stack
 	// never holds more than 1 + (heapArity-1)·(forkMinEvents-1) positions.
-	if len(s.heap) < forkMinEvents {
-		return false
-	}
 	var stack [1 + (heapArity-1)*(forkMinEvents-1)]int32
-	sp, found := 1, 0 // stack[0] holds position 0, the root
+	sp := 1 // stack[0] holds position 0, the root
 	for sp > 0 {
 		sp--
 		i := int(stack[sp])

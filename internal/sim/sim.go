@@ -7,18 +7,33 @@
 // arrays) run on this kernel so that months of simulated operation complete
 // in milliseconds and every run is reproducible from a seed.
 //
-// The kernel is built for the hot path: events live in a pooled arena and
-// are ordered by a hand-rolled 4-ary min-heap of arena indices, so a
+// The kernel is built for the hot path: events live in a pooled arena, so a
 // schedule/fire cycle performs no heap allocation in steady state and no
-// interface boxing ever. Timer handles are values carrying a generation
-// counter, which keeps them safe against arena slot reuse: a handle whose
-// event has fired, been stopped, or whose slot now holds a newer event
-// reports not-pending and refuses to stop the newcomer.
+// interface boxing ever. The pending set has two parts, both holding arena
+// indices. A hand-rolled 4-ary min-heap takes events at arbitrary times.
+// In front of it sit exact-time runs: FIFOs of events that all fall due at
+// one time, threaded through the arena. An event joins a run when a run
+// for its exact time exists, or opens one when the previous schedule named
+// the same time, so tie-heavy traffic (a fleet whose completions land on a
+// shared grid) pays O(1) per event while random-time traffic never builds
+// a run and goes to the heap as before. Order stays exact: within one
+// time, sequence numbers only grow, so appending keeps a run in (at, seq)
+// order, and the next event is the smaller by (at, seq) of the heap top
+// and the head of the earliest run.
+//
+// Timer handles are values carrying a generation counter, which keeps them
+// safe against arena slot reuse: a handle whose event has fired, been
+// stopped, or whose slot now holds a newer event reports not-pending and
+// refuses to stop the newcomer. Stopping a heap event removes it at once;
+// stopping a run event is lazy — the slot goes dead in place (generation
+// bumped, closure dropped) and is freed when the run's head reaches it, so
+// a run's head is always live and a run with no live event is dropped.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is a point in virtual time, measured in seconds since the start of
@@ -35,7 +50,10 @@ type event struct {
 	at  Time
 	seq uint64
 	fn  func()
-	// pos is the event's position in the heap, -1 once fired or stopped.
+	// pos places the event: its heap position when >= 0, -1 when the slot
+	// is free, and -(next+3) when it is linked into an exact-time run,
+	// where next is the arena index of the following run event (-1 at the
+	// tail). A run event whose fn is nil was stopped and awaits unlinking.
 	pos int32
 	// gen increments every time the arena slot is released, invalidating
 	// any Timer handles that still point at the slot.
@@ -61,11 +79,15 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	ev := &t.s.arena[t.idx]
-	if ev.gen != t.gen || ev.pos < 0 {
+	if ev.gen != t.gen || ev.pos == posFree {
 		return false
 	}
-	t.s.removeAt(int(ev.pos))
-	t.s.release(t.idx)
+	if ev.pos >= 0 {
+		t.s.removeAt(int(ev.pos))
+		t.s.release(t.idx)
+		return true
+	}
+	t.s.stopInRun(t.idx)
 	return true
 }
 
@@ -75,7 +97,7 @@ func (t Timer) Pending() bool {
 		return false
 	}
 	ev := &t.s.arena[t.idx]
-	return ev.gen == t.gen && ev.pos >= 0
+	return ev.gen == t.gen && ev.pos != posFree
 }
 
 // heapArity is the branching factor of the event heap. A 4-ary heap halves
@@ -83,6 +105,32 @@ func (t Timer) Pending() bool {
 // level for fewer cache-missing swaps — a win for the sift-down-dominated
 // pop path.
 const heapArity = 4
+
+// posFree marks a free arena slot; see event.pos for the other encodings.
+const posFree = -1
+
+// runLink encodes "linked into a run, followed by next" as an event.pos.
+func runLink(next int32) int32 { return -(next + 3) }
+
+// runNext decodes the next arena index of a run event's pos, -1 at the tail.
+func runNext(pos int32) int32 { return -pos - 3 }
+
+// maxRuns caps the live runs. Opening or draining a run shifts the sorted
+// runs slice, so a workload that tied pairs of events at many distinct
+// times would otherwise pay O(runs) per event; past the cap, a new time
+// goes to the heap, which orders any traffic in O(log n). The busiest
+// quick experiment (E31) peaks at 59 live runs and the fleet at 2, so the
+// cap only bounds the worst case.
+const maxRuns = 256
+
+// run is a FIFO of events that all fall due at exactly at, linked through
+// event.pos from head to tail. head is always live; live counts the
+// unstopped events, and dead ones stay linked until the head reaches them.
+type run struct {
+	at         Time
+	head, tail int32
+	live       int
+}
 
 // StationProbe observes station occupancy transitions: it is called after
 // every change to a station's queue or in-service state (submit, completion,
@@ -97,10 +145,15 @@ type Simulator struct {
 	now Time
 	// arena holds every event slot ever allocated; free lists the slots
 	// currently available for reuse; heap holds arena indices of the live
-	// (scheduled, unstopped) events ordered by (at, seq).
-	arena   []event
-	free    []int32
-	heap    []int32
+	// (scheduled, unstopped) events outside runs, ordered by (at, seq);
+	// runs holds the exact-time runs sorted by time.
+	arena []event
+	free  []int32
+	heap  []int32
+	runs  []run
+	// lastAt is the time the previous At named; a second At at the same
+	// time opens a run.
+	lastAt  Time
 	seq     uint64
 	stopped bool
 	fired   uint64
@@ -113,7 +166,7 @@ type Simulator struct {
 
 // New returns a simulator with the clock at time zero.
 func New() *Simulator {
-	return &Simulator{}
+	return &Simulator{lastAt: math.NaN()}
 }
 
 // Now returns the current virtual time.
@@ -130,8 +183,14 @@ func (s *Simulator) SetStationProbe(p StationProbe) { s.stationProbe = p }
 func (s *Simulator) EventsFired() uint64 { return s.fired }
 
 // Pending returns the number of live events still queued. Stopped events
-// are removed from the queue eagerly, so they never inflate this count.
-func (s *Simulator) Pending() int { return len(s.heap) }
+// never count, even while a run still links their slots.
+func (s *Simulator) Pending() int {
+	n := len(s.heap)
+	for _, r := range s.runs {
+		n += r.live
+	}
+	return n
+}
 
 // alloc takes a slot from the free list (or grows the arena) and
 // initializes it for a new event.
@@ -158,7 +217,7 @@ func (s *Simulator) alloc(t Time, fn func()) int32 {
 func (s *Simulator) release(idx int32) {
 	ev := &s.arena[idx]
 	ev.fn = nil
-	ev.pos = -1
+	ev.pos = posFree
 	ev.gen++
 	s.free = append(s.free, idx)
 }
@@ -234,9 +293,64 @@ func (s *Simulator) removeAt(i int) {
 	s.siftUp(i)
 }
 
+// findRun returns the index of the run for exactly time t and true, or
+// the index at which such a run would be inserted and false. The newest
+// run is checked first: a firing usually schedules its successor there.
+func (s *Simulator) findRun(t Time) (int, bool) {
+	n := len(s.runs)
+	if n == 0 || t > s.runs[n-1].at {
+		return n, false
+	}
+	if t == s.runs[n-1].at {
+		return n - 1, true
+	}
+	lo, hi := 0, n-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.runs[mid].at < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, s.runs[lo].at == t
+}
+
+// stopInRun cancels the live run event idx lazily: the slot goes dead in
+// place and is freed once it reaches its run's head.
+func (s *Simulator) stopInRun(idx int32) {
+	ev := &s.arena[idx]
+	ev.gen++
+	ev.fn = nil
+	i, _ := s.findRun(ev.at)
+	r := &s.runs[i]
+	r.live--
+	if r.head == idx {
+		s.trimRun(i)
+	}
+}
+
+// trimRun frees the dead events at run i's head, dropping the run when
+// none is left, so that no run is ever headed by a stopped event.
+func (s *Simulator) trimRun(i int) {
+	r := &s.runs[i]
+	idx := r.head
+	for idx >= 0 && s.arena[idx].fn == nil {
+		next := runNext(s.arena[idx].pos)
+		s.release(idx)
+		idx = next
+	}
+	if idx < 0 {
+		s.runs = slices.Delete(s.runs, i, i+1)
+		return
+	}
+	r.head = idx
+}
+
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
-// panics: it always indicates a logic error in the caller, and silently
-// clamping would hide it.
+// or with a nil fn panics: either always indicates a logic error in the
+// caller, and silently clamping or deferring the failure to the firing
+// would hide it.
 func (s *Simulator) At(t Time, fn func()) Timer {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
@@ -244,12 +358,28 @@ func (s *Simulator) At(t Time, fn func()) Timer {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("sim: schedule at non-finite time %v", t))
 	}
+	if fn == nil {
+		panic(fmt.Sprintf("sim: schedule of a nil callback at %v", t))
+	}
 	idx := s.alloc(t, fn)
-	i := len(s.heap)
-	s.heap = append(s.heap, idx)
-	s.arena[idx].pos = int32(i)
-	s.siftUp(i)
-	return Timer{s: s, idx: idx, gen: s.arena[idx].gen}
+	ev := &s.arena[idx]
+	if i, ok := s.findRun(t); ok {
+		r := &s.runs[i]
+		s.arena[r.tail].pos = runLink(idx)
+		r.tail = idx
+		r.live++
+		ev.pos = runLink(-1)
+	} else if t == s.lastAt && len(s.runs) < maxRuns {
+		s.runs = slices.Insert(s.runs, i, run{at: t, head: idx, tail: idx, live: 1})
+		ev.pos = runLink(-1)
+	} else {
+		i := len(s.heap)
+		s.heap = append(s.heap, idx)
+		ev.pos = int32(i)
+		s.siftUp(i)
+	}
+	s.lastAt = t
+	return Timer{s: s, idx: idx, gen: ev.gen}
 }
 
 // After schedules fn to run d seconds from now. A non-positive d runs the
@@ -265,14 +395,25 @@ func (s *Simulator) After(d Duration, fn func()) Timer {
 // Pending events remain queued.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// step pops and executes the next event. It reports false when the queue is
-// empty. Stopped events never reach here: Timer.Stop removes them eagerly.
+// step pops and executes the next event: the smaller by (at, seq) of the
+// heap top and the earliest run's head. It reports false when the queue is
+// empty. Stopped events never reach here: Timer.Stop removes heap events
+// eagerly and a run is never headed by a stopped one.
 func (s *Simulator) step() bool {
-	if len(s.heap) == 0 {
+	var idx int32
+	switch {
+	case len(s.runs) > 0 && (len(s.heap) == 0 || s.less(s.runs[0].head, s.heap[0])):
+		r := &s.runs[0]
+		idx = r.head
+		r.head = runNext(s.arena[idx].pos)
+		r.live--
+		s.trimRun(0)
+	case len(s.heap) > 0:
+		idx = s.heap[0]
+		s.removeAt(0)
+	default:
 		return false
 	}
-	idx := s.heap[0]
-	s.removeAt(0)
 	ev := &s.arena[idx]
 	s.now = ev.at
 	fn := ev.fn
@@ -293,10 +434,14 @@ func (s *Simulator) Run() {
 // queue is empty. The sharded coordinator polls it to pick each safe
 // window's base time.
 func (s *Simulator) nextAt() Time {
-	if len(s.heap) == 0 {
-		return math.Inf(1)
+	t := math.Inf(1)
+	if len(s.heap) > 0 {
+		t = s.arena[s.heap[0]].at
 	}
-	return s.arena[s.heap[0]].at
+	if len(s.runs) > 0 && s.runs[0].at < t {
+		t = s.runs[0].at
+	}
+	return t
 }
 
 // runWindow executes every queued event with time strictly before h and
@@ -305,11 +450,7 @@ func (s *Simulator) nextAt() Time {
 // beyond the horizon h belong to a later window, because another shard may
 // still deliver events ahead of them.
 func (s *Simulator) runWindow(h, limit Time) {
-	for len(s.heap) > 0 {
-		at := s.arena[s.heap[0]].at
-		if at >= h || at > limit {
-			return
-		}
+	for at := s.nextAt(); at < h && at <= limit; at = s.nextAt() {
 		s.step()
 	}
 }
@@ -321,8 +462,7 @@ func (s *Simulator) RunUntil(t Time) {
 		panic(fmt.Sprintf("sim: RunUntil(%v) before now %v", t, s.now))
 	}
 	s.stopped = false
-	for !s.stopped && len(s.heap) > 0 && s.arena[s.heap[0]].at <= t {
-		s.step()
+	for !s.stopped && s.nextAt() <= t && s.step() {
 	}
 	if !s.stopped && s.now < t {
 		s.now = t

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -183,5 +184,56 @@ func TestCascadingEvents(t *testing.T) {
 	s.Run()
 	if depth != 1000 {
 		t.Fatalf("chain depth = %d, want 1000", depth)
+	}
+}
+
+func TestScheduleNilPanics(t *testing.T) {
+	s := New()
+	s.At(10, func() {})
+	s.Run()
+	for name, schedule := range map[string]func(){
+		"At":    func() { s.At(12.5, nil) },
+		"After": func() { s.After(2.5, nil) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "nil callback") || !strings.Contains(msg, "12.5") {
+					t.Fatalf("%s with a nil callback panicked with %q, want one naming the time 12.5", name, msg)
+				}
+			}()
+			schedule()
+		}()
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("a refused nil callback left %d events queued", s.Pending())
+	}
+}
+
+// TestRunsCapAtMaxRuns ties pairs of events at more distinct times than
+// maxRuns allows runs for: the surplus times go to the heap, and the
+// firing order stays (time, sequence).
+func TestRunsCapAtMaxRuns(t *testing.T) {
+	s := New()
+	var got []int
+	n := 0
+	for i := 2 * maxRuns; i > 0; i-- {
+		for j := 0; j < 3; j++ {
+			n++
+			id := i*3 + j
+			s.At(float64(i), func() { got = append(got, id) })
+		}
+	}
+	if len(s.runs) != maxRuns {
+		t.Fatalf("%d live runs, want the cap %d", len(s.runs), maxRuns)
+	}
+	s.Run()
+	if len(got) != n {
+		t.Fatalf("fired %d of %d events", len(got), n)
+	}
+	for k := 1; k < len(got); k++ {
+		if got[k] <= got[k-1] {
+			t.Fatalf("firing %d ran event %d after %d", k, got[k], got[k-1])
+		}
 	}
 }

@@ -108,11 +108,6 @@ func QuantileInPlace(xs []float64, q float64) float64 {
 // reordering xs.
 func MedianInPlace(xs []float64) float64 { return QuantileInPlace(xs, 0.5) }
 
-// SearchSorted returns the smallest index i with s[i] not less than x
-// under the sort.Float64s order (NaNs first): the position of x's first
-// occurrence when present, else its insertion point.
-func SearchSorted(s []float64, x float64) int { return searchFirstGE(s, x) }
-
 // QuantileSorted returns the q-quantile of an already ascending-sorted
 // slice in O(1), without copying. Callers that sort once and read several
 // quantiles should prefer this over repeated Quantile calls.
@@ -124,18 +119,22 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 }
 
 // QuantileSortedExcluding returns the q-quantile of the sorted slice with
-// the element at index skip removed, equal to copying the slice minus that
-// element and calling QuantileSorted — but in O(1), with no copy. The
+// one element removed: the first not less than x under the sort.Float64s
+// order (NaNs first), which is x's first occurrence when x is present. It
+// equals copying the slice minus that element and calling QuantileSorted —
+// but in O(1), with no copy and no search: an index i lies at or past the
+// removed element exactly when sorted[i] is not less than x. NaN when no
+// element is removed (x above every element) or none would remain. The
 // peer-comparison detector reads an exclude-one fleet median per member
 // this way, which is what makes million-member sweeps feasible.
-func QuantileSortedExcluding(sorted []float64, skip int, q float64) float64 {
+func QuantileSortedExcluding(sorted []float64, x, q float64) float64 {
 	n := len(sorted)
-	if n <= 1 || skip < 0 || skip >= n || q < 0 || q > 1 || math.IsNaN(q) {
+	if n <= 1 || floatLess(sorted[n-1], x) || q < 0 || q > 1 || math.IsNaN(q) {
 		return math.NaN()
 	}
-	// at indexes the virtual n-1 element slice with sorted[skip] removed.
+	// at indexes the virtual n-1 element slice with the element removed.
 	at := func(i int) float64 {
-		if i >= skip {
+		if !floatLess(sorted[i], x) {
 			i++
 		}
 		return sorted[i]

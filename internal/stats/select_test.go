@@ -115,14 +115,16 @@ func TestQuantileSortedMatchesQuantile(t *testing.T) {
 	}
 }
 
+// TestSearchSorted pins searchFirstGE, the insertion-point search behind
+// the Window's sorted companion.
 func TestSearchSorted(t *testing.T) {
 	s := []float64{1, 2, 2, 4}
 	for _, tc := range []struct {
 		x    float64
 		want int
 	}{{0, 0}, {1, 0}, {2, 1}, {3, 3}, {4, 3}, {5, 4}} {
-		if got := SearchSorted(s, tc.x); got != tc.want {
-			t.Fatalf("SearchSorted(%v) = %d, want %d", tc.x, got, tc.want)
+		if got := searchFirstGE(s, tc.x); got != tc.want {
+			t.Fatalf("searchFirstGE(%v) = %d, want %d", tc.x, got, tc.want)
 		}
 	}
 }
@@ -144,26 +146,66 @@ func TestSelectAndQuantileInPlaceDoNotAllocate(t *testing.T) {
 	}
 }
 
-// Property: QuantileSortedExcluding equals copying the slice minus the
-// skipped element and reading QuantileSorted off the copy, for every skip
-// index and random q, on random data with duplicates.
+// Property: QuantileSortedExcluding(xs, x, q) has the bits of copying xs
+// minus the first element equal to or above x — x's first occurrence when
+// present — and reading QuantileSorted off the copy, and is NaN when no
+// element is removed. Slices of 1 to 20 elements hold duplicates and NaNs;
+// x is drawn from the slice, between its elements, above its maximum, or
+// NaN.
 func TestQuantileSortedExcludingMatchesCopyProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 1000; trial++ {
-		xs := randSlice(rng, 2+rng.Intn(20))
+	for trial := 0; trial < 4000; trial++ {
+		xs := randSlice(rng, 1+rng.Intn(20))
+		for i := range xs {
+			if rng.Intn(8) == 0 {
+				xs[i] = math.NaN()
+			}
+		}
 		sort.Float64s(xs)
-		skip := rng.Intn(len(xs))
+		var x float64
+		switch rng.Intn(4) {
+		case 0:
+			x = xs[rng.Intn(len(xs))]
+		case 1:
+			x = float64(rng.Intn(5)) + 0.5 // absent: between the forced duplicates
+		case 2:
+			x = math.Inf(1)
+			if !math.IsInf(xs[len(xs)-1], 1) {
+				x = xs[len(xs)-1] + 1 // above the maximum (or any number, if all NaN)
+			}
+		case 3:
+			x = math.NaN()
+		}
 		q := rng.Float64()
-		rest := append(append([]float64(nil), xs[:skip]...), xs[skip+1:]...)
-		if got, want := QuantileSortedExcluding(xs, skip, q), QuantileSorted(rest, q); !sameFloat(got, want) {
-			t.Fatalf("trial %d: QuantileSortedExcluding(%v, %d, %v) = %v, want %v",
-				trial, xs, skip, q, got, want)
+		if trial%5 == 0 {
+			q = 0.5
+		}
+		want := math.NaN()
+		for i, v := range xs {
+			if sameFloat(v, x) || v > x || (math.IsNaN(x) && !math.IsNaN(v)) {
+				rest := append(append([]float64(nil), xs[:i]...), xs[i+1:]...)
+				want = QuantileSorted(rest, q)
+				break
+			}
+		}
+		if got := QuantileSortedExcluding(xs, x, q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: QuantileSortedExcluding(%v, %v, %v) = %v, want %v",
+				trial, xs, x, q, got, want)
 		}
 	}
-	if !math.IsNaN(QuantileSortedExcluding([]float64{1}, 0, 0.5)) {
-		t.Fatal("single-element exclusion should be NaN")
-	}
-	if !math.IsNaN(QuantileSortedExcluding([]float64{1, 2}, 2, 0.5)) {
-		t.Fatal("out-of-range skip should be NaN")
+	for _, tc := range []struct {
+		xs      []float64
+		x, want float64
+	}{
+		{[]float64{1}, 1, math.NaN()},             // n = 1: no peer remains
+		{[]float64{1, 2}, 1, 2},                   // n = 2: the other element
+		{[]float64{1, 2}, 2, 1},                   // n = 2, excluding the maximum
+		{[]float64{1, 2}, 3, math.NaN()},          // above the maximum
+		{[]float64{1, 1}, 1, 1},                   // duplicates are interchangeable
+		{[]float64{math.NaN(), 1}, math.NaN(), 1}, // NaN excludes the NaN
+	} {
+		if got := QuantileSortedExcluding(tc.xs, tc.x, 0.5); !sameFloat(got, tc.want) {
+			t.Fatalf("QuantileSortedExcluding(%v, %v, 0.5) = %v, want %v", tc.xs, tc.x, got, tc.want)
+		}
 	}
 }
