@@ -115,6 +115,3 @@ func (h *Hysteresis) Verdict(now float64) spec.Verdict {
 	}
 	return h.reported
 }
-
-// Inner exposes the wrapped detector.
-func (h *Hysteresis) Inner() Detector { return h.inner }

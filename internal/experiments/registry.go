@@ -78,11 +78,6 @@ func (cfg Config) observeBarrier(run string, ss *sim.ShardedSimulator) {
 	}
 }
 
-// Observability reports whether any telemetry flag is set.
-func (cfg Config) Observability() bool {
-	return cfg.Trace || cfg.Audit || cfg.Metrics || cfg.Profile
-}
-
 // Experiment is one registered reproduction. Every experiment runs on its
 // own virtual-time simulator, so results are deterministic and RunAll may
 // fan experiments across workers freely.

@@ -4,22 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
+
+	"failstutter/internal/trace"
 )
 
 // Schema identifies the conformance report format.
 const Schema = "fstutter-oracle/1"
-
-// jnum writes a float in canonical shortest-roundtrip form; NaN and Inf
-// export as null, matching the registry's JSON convention.
-func jnum(bw *bufio.Writer, v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		bw.WriteString("null")
-		return
-	}
-	bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-}
 
 func jstr(bw *bufio.Writer, s string) {
 	bw.WriteString(strconv.Quote(s))
@@ -55,15 +46,15 @@ func (r *Report) WriteJSON(w io.Writer) error {
 		bw.WriteString(`,"quantity":`)
 		jstr(bw, row.Quantity)
 		bw.WriteString(`,"predicted":`)
-		jnum(bw, row.Predicted)
+		trace.WriteJSONNum(bw, row.Predicted)
 		bw.WriteString(`,"observed":`)
-		jnum(bw, row.Observed)
+		trace.WriteJSONNum(bw, row.Observed)
 		bw.WriteString(`,"residual":`)
-		jnum(bw, row.Residual())
+		trace.WriteJSONNum(bw, row.Residual())
 		bw.WriteString(`,"bound":`)
 		jstr(bw, row.Bound.String())
 		bw.WriteString(`,"tol":`)
-		jnum(bw, row.Tol)
+		trace.WriteJSONNum(bw, row.Tol)
 		bw.WriteString(`,"pass":`)
 		bw.WriteString(strconv.FormatBool(row.Pass()))
 		bw.WriteString(`}`)

@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+
+	"failstutter/internal/trace"
 )
 
 // BarrierSchema identifies the barrier cost report format.
@@ -161,11 +163,11 @@ func (r *BarrierReport) WriteJSON(w io.Writer) error {
 		bw.WriteString(`,"max_window_fired":`)
 		jint(bw, int64(run.MaxWindowFired))
 		bw.WriteString(`,"events_per_window":`)
-		jnum(bw, run.EventsPerWindow())
+		trace.WriteJSONNum(bw, run.EventsPerWindow())
 		bw.WriteString(`,"cross_shard_frac":`)
-		jnum(bw, run.CrossShardFrac())
+		trace.WriteJSONNum(bw, run.CrossShardFrac())
 		bw.WriteString(`,"imbalance":`)
-		jnum(bw, run.Imbalance())
+		trace.WriteJSONNum(bw, run.Imbalance())
 		bw.WriteString(`,"per_shard_fired":[`)
 		for j, f := range run.PerShardFired {
 			if j > 0 {

@@ -8,6 +8,8 @@ import (
 	"os"
 	"sort"
 	"strconv"
+
+	"failstutter/internal/trace"
 )
 
 // BenchSchema identifies the benchmark artifact format.
@@ -97,7 +99,7 @@ func (a *BenchArtifact) WriteJSON(w io.Writer) error {
 			if j > 0 {
 				bw.WriteByte(',')
 			}
-			jnum(bw, s)
+			trace.WriteJSONNum(bw, s)
 		}
 		bw.WriteString(`]}`)
 	}

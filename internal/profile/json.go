@@ -3,21 +3,10 @@ package profile
 import (
 	"bufio"
 	"io"
-	"math"
 	"strconv"
 
 	"failstutter/internal/trace"
 )
-
-// jnum writes a float in canonical shortest-roundtrip form; NaN and Inf
-// export as null, matching the registry's JSON convention.
-func jnum(bw *bufio.Writer, v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		bw.WriteString("null")
-		return
-	}
-	bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-}
 
 func jstr(bw *bufio.Writer, s string) {
 	bw.WriteString(strconv.Quote(s))
@@ -73,15 +62,15 @@ func jhist(bw *bufio.Writer, h *trace.Histogram) {
 	bw.WriteString(`{"count":`)
 	jint(bw, int64(h.Count()))
 	bw.WriteString(`,"mean":`)
-	jnum(bw, h.Mean())
+	trace.WriteJSONNum(bw, h.Mean())
 	bw.WriteString(`,"min":`)
-	jnum(bw, h.Min())
+	trace.WriteJSONNum(bw, h.Min())
 	bw.WriteString(`,"max":`)
-	jnum(bw, h.Max())
+	trace.WriteJSONNum(bw, h.Max())
 	bw.WriteString(`,"p50":`)
-	jnum(bw, h.Quantile(0.5))
+	trace.WriteJSONNum(bw, h.Quantile(0.5))
 	bw.WriteString(`,"p99":`)
-	jnum(bw, h.Quantile(0.99))
+	trace.WriteJSONNum(bw, h.Quantile(0.99))
 	bw.WriteString(`}`)
 }
 
@@ -91,15 +80,15 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	bw.WriteString(`{"schema":"fstutter-profile/1"`)
 	r.Meta.writeHeader(bw)
 	bw.WriteString(`,"window":{"start":`)
-	jnum(bw, r.Start)
+	trace.WriteJSONNum(bw, r.Start)
 	bw.WriteString(`,"end":`)
-	jnum(bw, r.End)
+	trace.WriteJSONNum(bw, r.End)
 	bw.WriteString(`,"makespan":`)
-	jnum(bw, r.Makespan)
+	trace.WriteJSONNum(bw, r.Makespan)
 	bw.WriteString(`},"critical_path":{"attributed":`)
-	jnum(bw, r.CriticalLen)
+	trace.WriteJSONNum(bw, r.CriticalLen)
 	bw.WriteString(`,"idle":`)
-	jnum(bw, r.Idle)
+	trace.WriteJSONNum(bw, r.Idle)
 	bw.WriteString(`,"shares":[`)
 	for i, s := range r.Shares {
 		if i > 0 {
@@ -108,9 +97,9 @@ func (r *Report) WriteJSON(w io.Writer) error {
 		bw.WriteString(`{"component":`)
 		jstr(bw, s.Component)
 		bw.WriteString(`,"seconds":`)
-		jnum(bw, s.Seconds)
+		trace.WriteJSONNum(bw, s.Seconds)
 		bw.WriteString(`,"fraction":`)
-		jnum(bw, s.Fraction)
+		trace.WriteJSONNum(bw, s.Fraction)
 		bw.WriteString(`}`)
 	}
 	bw.WriteString(`],"segments":[`)
@@ -126,9 +115,9 @@ func (r *Report) WriteJSON(w io.Writer) error {
 		bw.WriteString(`,"name":`)
 		jstr(bw, seg.Name)
 		bw.WriteString(`,"start":`)
-		jnum(bw, seg.Start)
+		trace.WriteJSONNum(bw, seg.Start)
 		bw.WriteString(`,"end":`)
-		jnum(bw, seg.End)
+		trace.WriteJSONNum(bw, seg.End)
 		bw.WriteString(`}`)
 	}
 	bw.WriteString(`]},"frames":[`)
@@ -140,9 +129,9 @@ func (r *Report) WriteJSON(w io.Writer) error {
 		bw.WriteString(`{"frame":`)
 		jstr(bw, fs.Frame)
 		bw.WriteString(`,"self":`)
-		jnum(bw, fs.Self)
+		trace.WriteJSONNum(bw, fs.Self)
 		bw.WriteString(`,"total":`)
-		jnum(bw, fs.Total)
+		trace.WriteJSONNum(bw, fs.Total)
 		bw.WriteString(`,"count":`)
 		jint(bw, int64(fs.Count))
 		bw.WriteString(`}`)
@@ -159,9 +148,9 @@ func (r *Report) WriteJSON(w io.Writer) error {
 		bw.WriteString(`,"spans":`)
 		jint(bw, int64(c.Spans))
 		bw.WriteString(`,"busy":`)
-		jnum(bw, c.Busy)
+		trace.WriteJSONNum(bw, c.Busy)
 		bw.WriteString(`,"utilization":`)
-		jnum(bw, c.Utilization)
+		trace.WriteJSONNum(bw, c.Utilization)
 		bw.WriteString(`,"service":`)
 		jhist(bw, c.Service)
 		bw.WriteString(`,"wait":`)
@@ -173,13 +162,13 @@ func (r *Report) WriteJSON(w io.Writer) error {
 			bw.WriteString(`{"samples":`)
 			jint(bw, int64(c.Queue.Samples))
 			bw.WriteString(`,"max_depth":`)
-			jnum(bw, c.Queue.MaxDepth)
+			trace.WriteJSONNum(bw, c.Queue.MaxDepth)
 			bw.WriteString(`,"mean_depth":`)
-			jnum(bw, c.Queue.MeanDepth)
+			trace.WriteJSONNum(bw, c.Queue.MeanDepth)
 			bw.WriteString(`,"max_backlog":`)
-			jnum(bw, c.Queue.MaxBacklog)
+			trace.WriteJSONNum(bw, c.Queue.MaxBacklog)
 			bw.WriteString(`,"mean_backlog":`)
-			jnum(bw, c.Queue.MeanBacklog)
+			trace.WriteJSONNum(bw, c.Queue.MeanBacklog)
 			bw.WriteString(`}`)
 		}
 		bw.WriteString(`}`)
@@ -194,7 +183,7 @@ func (r *SLOReport) WriteJSON(w io.Writer) error {
 	bw.WriteString(`{"schema":"fstutter-slo/1"`)
 	r.Meta.writeHeader(bw)
 	bw.WriteString(`,"threshold":`)
-	jnum(bw, r.Threshold)
+	trace.WriteJSONNum(bw, r.Threshold)
 	bw.WriteString(`,"auto":`)
 	bw.WriteString(strconv.FormatBool(r.Auto))
 	bw.WriteString(`,"category":`)
@@ -204,7 +193,7 @@ func (r *SLOReport) WriteJSON(w io.Writer) error {
 	bw.WriteString(`,"within":`)
 	jint(bw, int64(r.Within))
 	bw.WriteString(`,"availability":`)
-	jnum(bw, r.Availability)
+	trace.WriteJSONNum(bw, r.Availability)
 	bw.WriteString(`,"scenarios":[`)
 	for i := range r.Scenarios {
 		sc := &r.Scenarios[i]
@@ -215,34 +204,34 @@ func (r *SLOReport) WriteJSON(w io.Writer) error {
 		bw.WriteString(`{"label":`)
 		jstr(bw, sc.Label)
 		bw.WriteString(`,"start":`)
-		jnum(bw, sc.Start)
+		trace.WriteJSONNum(bw, sc.Start)
 		bw.WriteString(`,"end":`)
-		jnum(bw, sc.End)
+		trace.WriteJSONNum(bw, sc.End)
 		bw.WriteString(`,"offered":`)
 		jint(bw, int64(sc.Offered))
 		bw.WriteString(`,"within":`)
 		jint(bw, int64(sc.Within))
 		bw.WriteString(`,"availability":`)
-		jnum(bw, sc.Availability)
+		trace.WriteJSONNum(bw, sc.Availability)
 		bw.WriteString(`,"p50":`)
-		jnum(bw, sc.P50)
+		trace.WriteJSONNum(bw, sc.P50)
 		bw.WriteString(`,"p99":`)
-		jnum(bw, sc.P99)
+		trace.WriteJSONNum(bw, sc.P99)
 		bw.WriteString(`,"windows":[`)
 		for j, win := range sc.Windows {
 			if j > 0 {
 				bw.WriteByte(',')
 			}
 			bw.WriteString(`{"start":`)
-			jnum(bw, win.Start)
+			trace.WriteJSONNum(bw, win.Start)
 			bw.WriteString(`,"end":`)
-			jnum(bw, win.End)
+			trace.WriteJSONNum(bw, win.End)
 			bw.WriteString(`,"offered":`)
 			jint(bw, int64(win.Offered))
 			bw.WriteString(`,"within":`)
 			jint(bw, int64(win.Within))
 			bw.WriteString(`,"availability":`)
-			jnum(bw, win.Availability)
+			trace.WriteJSONNum(bw, win.Availability)
 			bw.WriteString(`}`)
 		}
 		bw.WriteString(`]}`)

@@ -123,44 +123,3 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// Zipf returns values in [0, n) with a Zipf(s) distribution, computed by
-// inverse-CDF lookup over precomputed cumulative weights. Suitable for the
-// modest n used by workload generators.
-type Zipf struct {
-	rng *RNG
-	cum []float64
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent s > 0.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
-	if n <= 0 || s <= 0 {
-		panic("sim: NewZipf requires n > 0 and s > 0")
-	}
-	cum := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += 1 / math.Pow(float64(i+1), s)
-		cum[i] = total
-	}
-	for i := range cum {
-		cum[i] /= total
-	}
-	return &Zipf{rng: rng, cum: cum}
-}
-
-// Next draws the next rank.
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	// Binary search for the first cumulative weight >= u.
-	lo, hi := 0, len(z.cum)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cum[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}

@@ -185,33 +185,3 @@ func TestShufflePreservesElements(t *testing.T) {
 		t.Fatalf("shuffle changed multiset: sum %d -> %d", sum, got)
 	}
 }
-
-func TestZipfSkew(t *testing.T) {
-	r := NewRNG(29)
-	z := NewZipf(r, 100, 1.0)
-	counts := make([]int, 100)
-	for i := 0; i < 50000; i++ {
-		v := z.Next()
-		if v < 0 || v >= 100 {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-		counts[v]++
-	}
-	if counts[0] <= counts[50] {
-		t.Fatalf("Zipf not skewed: rank0=%d rank50=%d", counts[0], counts[50])
-	}
-	// Rank 0 should receive roughly 1/H(100) ~ 19% of the mass.
-	frac := float64(counts[0]) / 50000
-	if frac < 0.15 || frac > 0.25 {
-		t.Fatalf("Zipf rank-0 mass = %v, want ~0.19", frac)
-	}
-}
-
-func TestZipfPanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewZipf(0 ranks) did not panic")
-		}
-	}()
-	NewZipf(NewRNG(1), 0, 1)
-}

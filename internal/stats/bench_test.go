@@ -17,21 +17,6 @@ func BenchmarkQuantile1k(b *testing.B) {
 	}
 }
 
-func BenchmarkMAD1k(b *testing.B) {
-	xs := benchData(1000)
-	for i := 0; i < b.N; i++ {
-		MAD(xs)
-	}
-}
-
-func BenchmarkTheilSen100(b *testing.B) {
-	xs := benchData(100)
-	ys := benchData(100)
-	for i := 0; i < b.N; i++ {
-		TheilSen(xs, ys)
-	}
-}
-
 func BenchmarkQuantileInPlace1k(b *testing.B) {
 	xs := benchData(1000)
 	work := make([]float64, len(xs))

@@ -1,80 +1,14 @@
-// Package stats implements the descriptive and online statistics used by
-// the stutter detectors and the experiment harness: means, quantiles,
-// robust dispersion (MAD), exponentially weighted moving averages, sliding
-// windows, and least-squares trend estimation.
+// Package stats implements the statistics the stutter detectors and the
+// experiment harness read: quantiles and medians (copying, in place by
+// quickselect, from an already sorted slice, and exclude-one from a
+// sorted slice), an exponentially weighted moving average, and a sliding
+// Window with O(1) quantile queries.
 package stats
 
 import (
 	"math"
 	"sort"
 )
-
-// Mean returns the arithmetic mean of xs, or NaN for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or NaN for fewer than
-// one element.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs))
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the smallest element, or NaN for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element, or NaN for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the total of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation between order statistics. It copies xs, leaving the input
@@ -107,28 +41,3 @@ func quantileSorted(sorted []float64, q float64) float64 {
 
 // Median returns the 0.5-quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
-// MAD returns the median absolute deviation from the median, a robust
-// dispersion measure unaffected by a minority of wild outliers — exactly
-// the property needed when a few components stutter.
-func MAD(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	med := Median(xs)
-	devs := make([]float64, len(xs))
-	for i, x := range xs {
-		devs[i] = math.Abs(x - med)
-	}
-	return Median(devs)
-}
-
-// CoeffVar returns the coefficient of variation (stddev / mean), or NaN if
-// the mean is zero or the slice is empty.
-func CoeffVar(xs []float64) float64 {
-	m := Mean(xs)
-	if m == 0 || math.IsNaN(m) {
-		return math.NaN()
-	}
-	return Stddev(xs) / m
-}

@@ -41,44 +41,3 @@ func (e *EWMA) Value() float64 {
 
 // Initialized reports whether at least one observation has been folded in.
 func (e *EWMA) Initialized() bool { return e.init }
-
-// Reset discards all history.
-func (e *EWMA) Reset() { e.init = false; e.value = 0 }
-
-// Welford maintains a numerically stable online mean and variance.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Observe folds x into the accumulator.
-func (w *Welford) Observe(x float64) {
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() uint64 { return w.n }
-
-// Mean returns the running mean, or NaN with no observations.
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// Variance returns the running population variance, or NaN with no
-// observations.
-func (w *Welford) Variance() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Stddev returns the running population standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }

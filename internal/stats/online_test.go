@@ -54,15 +54,6 @@ func TestEWMAAlphaOneTracksExactly(t *testing.T) {
 	}
 }
 
-func TestEWMAReset(t *testing.T) {
-	e := NewEWMA(0.5)
-	e.Observe(5)
-	e.Reset()
-	if e.Initialized() || !math.IsNaN(e.Value()) {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 func TestEWMAInvalidAlphaPanics(t *testing.T) {
 	for _, alpha := range []float64{0, -0.1, 1.5, math.NaN()} {
 		func() {
@@ -98,35 +89,5 @@ func TestEWMABoundedByExtremesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWelfordMatchesBatch(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		var w Welford
-		for i, v := range raw {
-			xs[i] = float64(v)
-			w.Observe(xs[i])
-		}
-		if w.N() != uint64(len(xs)) {
-			return false
-		}
-		scale := 1.0 + math.Abs(Mean(xs)) + Variance(xs)
-		return close(w.Mean(), Mean(xs), 1e-9*scale) &&
-			close(w.Variance(), Variance(xs), 1e-6*scale)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Variance()) {
-		t.Fatal("empty Welford not NaN")
 	}
 }

@@ -1,33 +1,20 @@
 package stats
 
-import "math"
-
 // Window is a fixed-capacity sliding window over the most recent
 // observations, backed by a ring buffer. Detectors use it to compare a
 // component's recent behaviour against its performance specification.
 //
-// All steady-state statistics are incremental and allocation-free:
-//
-//   - Mean and Variance come from running moments (Welford updated on
-//     insert and evict, exactly recomputed every capacity evictions to
-//     bound floating-point drift);
-//   - Median and Quantile read a sorted companion of the ring, maintained
-//     on insert/evict with a binary search plus a bounded memmove, so a
-//     quantile query never copies or sorts.
-//
-// The companion keeps the same total order as sort.Float64s (NaNs first,
-// then ascending), so quantiles are identical to sorting Values().
+// Median and Quantile read a sorted companion of the ring, maintained on
+// insert/evict with a binary search plus a bounded memmove, so the
+// steady-state observe and quantile path never copies, sorts or
+// allocates. The companion keeps the same total order as sort.Float64s
+// (NaNs first, then ascending), so quantiles are identical to sorting
+// Values().
 type Window struct {
 	buf    []float64 // ring, arrival order
 	sorted []float64 // same multiset, ascending; first n entries live
 	head   int
 	n      int
-
-	mean   float64 // running mean of non-NaN values
-	m2     float64 // running sum of squared deviations (non-NaN)
-	mn     int     // non-NaN value count
-	nan    int     // NaN value count
-	evicts int     // evictions since the last exact moment recompute
 }
 
 // NewWindow returns a window holding up to capacity observations. It
@@ -45,15 +32,12 @@ func NewWindow(capacity int) *Window {
 // Observe appends x, evicting the oldest observation when full.
 func (w *Window) Observe(x float64) {
 	if w.n == len(w.buf) {
-		old := w.buf[w.head]
-		w.removeSorted(old)
+		w.removeSorted(w.buf[w.head])
 		w.n--
-		w.removeMoment(old) // after n--: a recompute must see only survivors
 	}
 	w.buf[w.head] = x
 	w.head = (w.head + 1) % len(w.buf)
 	w.insertSorted(x)
-	w.addMoment(x)
 	w.n++
 }
 
@@ -70,68 +54,8 @@ func (w *Window) removeSorted(x float64) {
 	copy(w.sorted[idx:w.n-1], w.sorted[idx+1:w.n])
 }
 
-func (w *Window) addMoment(x float64) {
-	if math.IsNaN(x) {
-		w.nan++
-		return
-	}
-	w.mn++
-	d := x - w.mean
-	w.mean += d / float64(w.mn)
-	w.m2 += d * (x - w.mean)
-}
-
-func (w *Window) removeMoment(x float64) {
-	if math.IsNaN(x) {
-		w.nan--
-		return
-	}
-	w.evicts++
-	if w.mn == 1 {
-		w.mn, w.mean, w.m2 = 0, 0, 0
-		return
-	}
-	old := w.mean
-	w.mean = (float64(w.mn)*w.mean - x) / float64(w.mn-1)
-	w.m2 -= (x - old) * (x - w.mean)
-	w.mn--
-	if w.m2 < 0 {
-		w.m2 = 0 // guard against drift below zero
-	}
-	if w.evicts >= len(w.buf) {
-		w.recomputeMoments()
-	}
-}
-
-// recomputeMoments rebuilds the running moments exactly from the live
-// values. Called every capacity evictions, it bounds accumulated
-// floating-point drift at amortized O(1) per observation.
-func (w *Window) recomputeMoments() {
-	w.evicts = 0
-	w.mean, w.m2, w.mn = 0, 0, 0
-	// Mid-eviction state: head not yet advanced, n already decremented, so
-	// the usual head-n origin walks exactly the surviving values.
-	start := w.head - w.n
-	if start < 0 {
-		start += len(w.buf)
-	}
-	for i := 0; i < w.n; i++ {
-		x := w.buf[(start+i)%len(w.buf)]
-		if math.IsNaN(x) {
-			continue
-		}
-		w.mn++
-		d := x - w.mean
-		w.mean += d / float64(w.mn)
-		w.m2 += d * (x - w.mean)
-	}
-}
-
 // Len returns the number of stored observations.
 func (w *Window) Len() int { return w.n }
-
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
 
 // Full reports whether the window has reached capacity.
 func (w *Window) Full() bool { return w.n == len(w.buf) }
@@ -149,62 +73,17 @@ func (w *Window) At(i int) float64 {
 }
 
 // Values returns the stored observations, oldest first, as a fresh slice.
-// It allocates on every call; hot paths should use AppendValues with a
-// reusable buffer instead.
 func (w *Window) Values() []float64 {
-	return w.AppendValues(make([]float64, 0, w.n))
-}
-
-// AppendValues appends the stored observations, oldest first, to dst and
-// returns the extended slice. With a caller-owned dst of sufficient
-// capacity it performs no allocation.
-func (w *Window) AppendValues(dst []float64) []float64 {
-	start := w.head - w.n
-	if start < 0 {
-		start += len(w.buf)
+	vs := make([]float64, w.n)
+	for i := range vs {
+		vs[i] = w.At(i)
 	}
-	for i := 0; i < w.n; i++ {
-		dst = append(dst, w.buf[(start+i)%len(w.buf)])
-	}
-	return dst
+	return vs
 }
-
-// Mean returns the mean of the stored observations, or NaN when empty or
-// when any stored observation is NaN.
-func (w *Window) Mean() float64 {
-	if w.n == 0 || w.nan > 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// Variance returns the population variance of the stored observations,
-// or NaN when empty or when any stored observation is NaN.
-func (w *Window) Variance() float64 {
-	if w.n == 0 || w.nan > 0 {
-		return math.NaN()
-	}
-	return w.m2 / float64(w.mn)
-}
-
-// Stddev returns the population standard deviation of the stored
-// observations.
-func (w *Window) Stddev() float64 { return math.Sqrt(w.Variance()) }
 
 // Quantile returns the q-quantile of the stored observations in O(1)
 // from the sorted companion, without copying or sorting.
-func (w *Window) Quantile(q float64) float64 {
-	if w.n == 0 || q < 0 || q > 1 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	return quantileSorted(w.sorted[:w.n], q)
-}
+func (w *Window) Quantile(q float64) float64 { return QuantileSorted(w.sorted[:w.n], q) }
 
 // Median returns the 0.5-quantile of the stored observations.
 func (w *Window) Median() float64 { return w.Quantile(0.5) }
-
-// Reset discards all observations.
-func (w *Window) Reset() {
-	w.head, w.n = 0, 0
-	w.mean, w.m2, w.mn, w.nan, w.evicts = 0, 0, 0, 0, 0
-}

@@ -137,7 +137,7 @@ func (l *AuditLog) WriteJSON(w io.Writer) error {
 			bw.WriteString(",\n")
 		}
 		bw.WriteString(`{"time":`)
-		writeJSONNum(bw, r.Time)
+		WriteJSONNum(bw, r.Time)
 		bw.WriteString(`,"component":`)
 		bw.WriteString(strconv.Quote(r.Component))
 		bw.WriteString(`,"detector":`)
@@ -155,15 +155,15 @@ func (l *AuditLog) WriteJSON(w io.Writer) error {
 		bw.WriteString(`,"evidence":{"signal":`)
 		bw.WriteString(strconv.Quote(r.Evidence.Signal))
 		bw.WriteString(`,"observed":`)
-		writeJSONNum(bw, r.Evidence.Observed)
+		WriteJSONNum(bw, r.Evidence.Observed)
 		bw.WriteString(`,"ref_kind":`)
 		bw.WriteString(strconv.Quote(r.Evidence.RefKind))
 		bw.WriteString(`,"reference":`)
-		writeJSONNum(bw, r.Evidence.Reference)
+		WriteJSONNum(bw, r.Evidence.Reference)
 		bw.WriteString(`,"threshold":`)
-		writeJSONNum(bw, r.Evidence.Threshold)
+		WriteJSONNum(bw, r.Evidence.Threshold)
 		bw.WriteString(`,"margin":`)
-		writeJSONNum(bw, r.Evidence.Margin)
+		WriteJSONNum(bw, r.Evidence.Margin)
 		bw.WriteString(`}}`)
 	}
 	if len(recs) > 0 {
@@ -173,9 +173,10 @@ func (l *AuditLog) WriteJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
-// writeJSONNum renders a float as a JSON number; NaN and Inf (not
-// representable in JSON) become null.
-func writeJSONNum(bw *bufio.Writer, v float64) {
+// WriteJSONNum renders a float as a JSON number in shortest round-trip
+// form; NaN and Inf (not representable in JSON) become null. Every
+// artifact writer (trace, registry, audit, profile, oracle) shares it.
+func WriteJSONNum(bw *bufio.Writer, v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		bw.WriteString("null")
 		return

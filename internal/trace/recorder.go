@@ -55,16 +55,6 @@ func (t *Tracer) SetFlightRecorder(cfg RecorderConfig) {
 	t.fr = &flightRecorder{cfg: cfg}
 }
 
-// FlightRecording reports whether the tracer is in flight-recorder mode.
-func (t *Tracer) FlightRecording() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fr != nil
-}
-
 const (
 	// frSlotBits splits a flight-recorder local id into an arena slot
 	// (low bits) and a reuse generation (the bits up to localIDBits), so

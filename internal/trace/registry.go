@@ -301,17 +301,17 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		bw.WriteString(`,"nan_count":`)
 		bw.WriteString(strconv.FormatUint(h.NaNCount(), 10))
 		bw.WriteString(`,"sum":`)
-		writeJSONNum(bw, h.Sum())
+		WriteJSONNum(bw, h.Sum())
 		bw.WriteString(`,"mean":`)
-		writeJSONNum(bw, h.Mean())
+		WriteJSONNum(bw, h.Mean())
 		bw.WriteString(`,"min":`)
-		writeJSONNum(bw, h.Min())
+		WriteJSONNum(bw, h.Min())
 		bw.WriteString(`,"max":`)
-		writeJSONNum(bw, h.Max())
+		WriteJSONNum(bw, h.Max())
 		bw.WriteString(`,"p50":`)
-		writeJSONNum(bw, h.Quantile(0.5))
+		WriteJSONNum(bw, h.Quantile(0.5))
 		bw.WriteString(`,"p99":`)
-		writeJSONNum(bw, h.Quantile(0.99))
+		WriteJSONNum(bw, h.Quantile(0.99))
 	})
 	bw.WriteString(",\n")
 	writeGroup("series", kindSeries, func(e *entry) {
@@ -321,14 +321,14 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 			if i > 0 {
 				bw.WriteByte(',')
 			}
-			writeJSONNum(bw, t)
+			WriteJSONNum(bw, t)
 		}
 		bw.WriteString(`],"values":[`)
 		for i, v := range s.Values {
 			if i > 0 {
 				bw.WriteByte(',')
 			}
-			writeJSONNum(bw, v)
+			WriteJSONNum(bw, v)
 		}
 		bw.WriteString(`]`)
 	})
@@ -336,29 +336,29 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	writeGroup("meters", kindMeter, func(e *entry) {
 		m := e.m
 		bw.WriteString(`,"threshold":`)
-		writeJSONNum(bw, m.Threshold())
+		WriteJSONNum(bw, m.Threshold())
 		bw.WriteString(`,"offered":`)
 		bw.WriteString(strconv.FormatUint(m.OfferedCount(), 10))
 		bw.WriteString(`,"completed":`)
 		bw.WriteString(strconv.FormatUint(m.CompletedCount(), 10))
 		bw.WriteString(`,"availability":`)
-		writeJSONNum(bw, m.Availability())
+		WriteJSONNum(bw, m.Availability())
 		bw.WriteString(`,"latency_mean":`)
-		writeJSONNum(bw, m.Latency().Mean())
+		WriteJSONNum(bw, m.Latency().Mean())
 		bw.WriteString(`,"latency_p99":`)
-		writeJSONNum(bw, m.Latency().Quantile(0.99))
+		WriteJSONNum(bw, m.Latency().Quantile(0.99))
 	})
 	bw.WriteString(",\n")
 	writeGroup("oracles", kindOracle, func(e *entry) {
 		o := e.o
 		bw.WriteString(`,"predicted":`)
-		writeJSONNum(bw, o.Predicted())
+		WriteJSONNum(bw, o.Predicted())
 		bw.WriteString(`,"observed":`)
-		writeJSONNum(bw, o.Observed())
+		WriteJSONNum(bw, o.Observed())
 		bw.WriteString(`,"residual":`)
-		writeJSONNum(bw, o.Residual())
+		WriteJSONNum(bw, o.Residual())
 		bw.WriteString(`,"band":`)
-		writeJSONNum(bw, o.Band())
+		WriteJSONNum(bw, o.Band())
 	})
 	bw.WriteString("}\n")
 	return bw.Flush()

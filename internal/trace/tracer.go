@@ -31,8 +31,7 @@ const (
 type TrackID int32
 
 // Span is one recorded interval (or instant) on a track, in the tracer's
-// time base — virtual seconds for the simulator, wall-clock seconds since
-// the tracer's epoch for the cluster runtime.
+// time base: the simulator's virtual seconds.
 type Span struct {
 	ID     SpanID
 	Parent SpanID // 0 = no parent
@@ -50,9 +49,12 @@ type Span struct {
 // Open reports whether the span has not been ended yet.
 func (s Span) Open() bool { return !s.Instant && math.IsNaN(s.End) }
 
-// Tracer records causal spans. It is safe for concurrent use (the
-// wall-clock cluster workers record from many goroutines); the simulator
-// paths are single-threaded and pay one uncontended lock per span.
+// Tracer records causal spans. Each collector has one writer per window:
+// a serial simulator's tracer is written by its one event loop, and a
+// sharded run gives every shard its own collector (NewShardTracer), which
+// only that shard's window writes. The mutex stays as a safety net, so
+// every method is still safe for concurrent use; uncontended, it costs
+// one lock per span.
 //
 // All methods are nil-receiver safe as a backstop, but hot paths should
 // guard with an explicit `if tracer != nil` so the disabled path costs one
