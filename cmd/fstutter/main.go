@@ -17,6 +17,7 @@
 //
 //	-seed N           random seed (default 42)
 //	-quick            shrink workloads for a fast pass (the test suite's mode)
+//	-format FMT       table output: text (default) or csv
 //	-parallel N       experiment fan-out for `all` (default GOMAXPROCS);
 //	                  every experiment runs in virtual time, so the tables
 //	                  are byte-identical at any fan-out

@@ -98,6 +98,67 @@ func TestCLIExitCodes(t *testing.T) {
 	}
 }
 
+// TestCLIExitOnFailure pins the runtime failures that exit 1: an artifact
+// that cannot be written, a bench artifact that cannot be read, and a
+// perfdiff regression under -gate. Each names its cause on stderr.
+func TestCLIExitOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	notDir := filepath.Join(dir, "file")
+	bench := func(name string, ns float64) string {
+		path := filepath.Join(dir, name)
+		s := strconv.FormatFloat(ns, 'g', -1, 64)
+		body := `{"schema":"fstutter-bench/1","seed":42,"quick":true,"benchmarks":[` +
+			`{"name":"experiment/E01","unit":"ns/op","samples":[` + strings.Repeat(s+",", 4) + s + `]}]}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, slow := bench("old.json", 1e6), bench("slow.json", 2e6)
+	for _, tc := range []struct {
+		name           string
+		args           []string
+		stdout, stderr string
+	}{
+		{"unwritable-artifact", []string{"run", "E01", "-quick", "-metrics-out", filepath.Join(notDir, "sub")}, "", "fstutter: mkdir " + notDir},
+		{"perfdiff-missing-file", []string{"perfdiff", filepath.Join(dir, "missing.json"), old}, "", "fstutter: open " + filepath.Join(dir, "missing.json")},
+		{"perfdiff-gate-regression", []string{"perfdiff", "-gate", old, slow}, "1 regressed", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, stdout, stderr := runCLI(t, nil, tc.args...)
+			if code != 1 {
+				t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr)
+			}
+			if !strings.Contains(stdout, tc.stdout) {
+				t.Fatalf("stdout %q, want it to contain %q", stdout, tc.stdout)
+			}
+			if !strings.Contains(stderr, tc.stderr) {
+				t.Fatalf("stderr %q, want it to contain %q", stderr, tc.stderr)
+			}
+		})
+	}
+}
+
+// TestUsageGolden pins the text usage() prints. After an intended change,
+// regenerate the golden file with
+// `go build ./cmd/fstutter && ./fstutter 2> cmd/fstutter/testdata/usage.golden`.
+func TestUsageGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "usage.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, _, stderr := runCLI(t, nil)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if stderr != string(want) {
+		t.Fatalf("usage text differs from testdata/usage.golden:\n%s", stderr)
+	}
+}
+
 // TestCLIFlagsAfterSubcommand: flags given after the subcommand mean what
 // they mean before it.
 func TestCLIFlagsAfterSubcommand(t *testing.T) {

@@ -223,27 +223,13 @@ func (g diskGeom) readSeconds(start, blocks int64) float64 {
 		if i+1 < len(starts) {
 			zhi = starts[i+1]
 		}
-		a, b := max64(lo, zlo), min64(hi, zhi)
+		a, b := max(lo, zlo), min(hi, zhi)
 		if b > a {
 			t += float64(b-a) * mBlockBytes / (z.bw * g.aging)
 		}
 	}
 	t += g.remapPenalty * g.remapFrac * float64(blocks)
 	return t
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------

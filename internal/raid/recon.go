@@ -79,7 +79,7 @@ func EnableReconstruction(a *Array, pool *SparePool, chunkBlocks int64, onComple
 						}
 						return
 					}
-					n := min64(chunkBlocks, p.nextBlock-copied)
+					n := min(chunkBlocks, p.nextBlock-copied)
 					from := copied
 					survivor.Read(from, n, func(float64) {
 						spare.Write(from, n, func(float64) {

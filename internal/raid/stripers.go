@@ -236,7 +236,7 @@ func (w AdaptiveWave) Run(a *Array, blocks int64, onDone func(Result)) {
 	}
 
 	// First wave: no measurements yet, split evenly.
-	first := min64(w.WaveBlocks, undispatched)
+	first := min(w.WaveBlocks, undispatched)
 	even := make([]float64, len(a.pairs))
 	for i := range even {
 		even[i] = 1
@@ -275,7 +275,7 @@ func (w AdaptiveWave) Run(a *Array, blocks int64, onDone func(Result)) {
 			}
 		}
 		prev = cur
-		n := min64(w.WaveBlocks, undispatched)
+		n := min(w.WaveBlocks, undispatched)
 		if n > 0 {
 			allZero := true
 			for _, wt := range weights {
@@ -293,11 +293,4 @@ func (w AdaptiveWave) Run(a *Array, blocks int64, onDone func(Result)) {
 		a.s.After(w.Interval, tick)
 	}
 	a.s.After(w.Interval, tick)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

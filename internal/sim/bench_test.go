@@ -210,11 +210,12 @@ func benchHold(b *testing.B, delay func() Duration) {
 
 // BenchmarkHoldTies is the fleet's regime: every firing reschedules
 // itself 0.5 s later, so all 2^17 pending events share a handful of exact
-// times — a healthy disk's completions on E32's 0.5 s grid.
+// times — a healthy disk's completions on E32's 0.5 s grid — and each new
+// event chains behind the previous one instead of entering the heap.
 func BenchmarkHoldTies(b *testing.B) { benchHold(b, func() Duration { return 0.5 }) }
 
 // BenchmarkHoldRandom reschedules each firing at a random offset, so no
-// two events tie and the whole pending set lives in the heap.
+// two events tie and every pending event is a heap entry of its own.
 func BenchmarkHoldRandom(b *testing.B) {
 	rng := NewRNG(17)
 	benchHold(b, rng.Float64)

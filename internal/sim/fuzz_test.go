@@ -9,7 +9,7 @@ import (
 
 // kernelMaxOps bounds the top-level operations of a FuzzKernel program
 // and kernelMaxTimers the events one shard may schedule, children
-// included: enough for long ties and deep runs, small enough that the
+// included: enough for long chains of ties, small enough that the
 // naive reference keeps one execution fast.
 const (
 	kernelMaxOps    = 256

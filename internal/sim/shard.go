@@ -413,45 +413,38 @@ func (ss *ShardedSimulator) runShard(i int, t, h, limit Time) (p *WorkerPanic) {
 }
 
 // holdsForkWork reports whether at least forkMinEvents queued events fall
-// in the window (before h and not after limit). The runs are sorted by
-// time, so the eligible ones form a prefix whose live counts add up
-// directly. The eligible heap events form a subtree at the root of the
-// 4-ary heap — every ancestor of an event is due no later than it — so a
-// depth-first walk that prunes at the first ineligible node visits only
-// that subtree and its frontier, and stopping at forkMinEvents bounds the
+// in the window (before h and not after limit). The eligible chains form a
+// subtree at the root of the 4-ary heap — every ancestor of a chain head is
+// due no later than it — so a depth-first walk that prunes at the first
+// ineligible head visits only that subtree and its frontier, counting each
+// eligible chain's live events, and stopping at forkMinEvents bounds the
 // walk at O(forkMinEvents). Events the window would spawn cannot be
 // counted ahead of time, which errs toward running inline.
 func (s *Simulator) holdsForkWork(h, limit Time) bool {
-	if s.Pending() < forkMinEvents {
+	if s.pending < forkMinEvents {
 		return false
 	}
-	found := 0
-	for _, r := range s.runs {
-		if r.at >= h || r.at > limit {
-			break
-		}
-		found += r.live
-	}
-	if found >= forkMinEvents {
-		return true
-	}
-	if len(s.heap) == 0 {
-		return false
-	}
-	// Each eligible node visited pops one position and pushes at most
-	// heapArity, and the walk stops at the forkMinEvents-th, so the stack
-	// never holds more than 1 + (heapArity-1)·(forkMinEvents-1) positions.
+	// Each eligible head visited pops one position, pushes at most
+	// heapArity and counts at least itself, and the walk stops at the
+	// forkMinEvents-th event, so the stack never holds more than
+	// 1 + (heapArity-1)·(forkMinEvents-1) positions.
 	var stack [1 + (heapArity-1)*(forkMinEvents-1)]int32
+	found := 0
 	sp := 1 // stack[0] holds position 0, the root
 	for sp > 0 {
 		sp--
 		i := int(stack[sp])
-		if at := s.arena[s.heap[i]].at; at >= h || at > limit {
+		idx := s.heap[i]
+		if at := s.arena[idx].at; at >= h || at > limit {
 			continue
 		}
-		found++
-		if found >= forkMinEvents {
-			return true
+		for ; idx >= 0; idx = s.arena[idx].next {
+			if s.arena[idx].fn == nil {
+				continue
+			}
+			if found++; found >= forkMinEvents {
+				return true
+			}
 		}
 		first := i*heapArity + 1
 		for c := first; c < first+heapArity && c < len(s.heap); c++ {

@@ -9,31 +9,27 @@
 //
 // The kernel is built for the hot path: events live in a pooled arena, so a
 // schedule/fire cycle performs no heap allocation in steady state and no
-// interface boxing ever. The pending set has two parts, both holding arena
-// indices. A hand-rolled 4-ary min-heap takes events at arbitrary times.
-// In front of it sit exact-time runs: FIFOs of events that all fall due at
-// one time, threaded through the arena. An event joins a run when a run
-// for its exact time exists, or opens one when the previous schedule named
-// the same time, so tie-heavy traffic (a fleet whose completions land on a
-// shared grid) pays O(1) per event while random-time traffic never builds
-// a run and goes to the heap as before. Order stays exact: within one
-// time, sequence numbers only grow, so appending keeps a run in (at, seq)
-// order, and the next event is the smaller by (at, seq) of the heap top
-// and the head of the earliest run.
+// interface boxing ever. The pending set is one hand-rolled 4-ary min-heap
+// of arena indices, and each heap entry heads a FIFO chain of events due
+// at the same time, linked through the arena. An event scheduled at the
+// same time as the previous one, while that one is still pending, joins
+// its chain in O(1), so tie-heavy traffic (a fleet whose completions land
+// on a shared grid) skips the heap; any other event is pushed onto the
+// heap. Order stays exact (time, sequence): a chain only grows at its
+// tail, with the newest sequence number.
 //
-// Timer handles are values carrying a generation counter, which keeps them
-// safe against arena slot reuse: a handle whose event has fired, been
-// stopped, or whose slot now holds a newer event reports not-pending and
-// refuses to stop the newcomer. Stopping a heap event removes it at once;
-// stopping a run event is lazy — the slot goes dead in place (generation
-// bumped, closure dropped) and is freed when the run's head reaches it, so
-// a run's head is always live and a run with no live event is dropped.
+// Timer handles are values naming the simulator, the arena slot and the
+// event's sequence number, which keeps them safe against slot reuse: a
+// handle whose event has fired, been stopped, or whose slot now holds a
+// newer event reports not-pending and refuses to stop the newcomer.
+// Stopping a chain head promotes its first live successor into its heap
+// slot at once; stopping a chained event drops its closure in place, and
+// its slot is freed when its chain's head reaches it.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"slices"
 )
 
 // Time is a point in virtual time, measured in seconds since the start of
@@ -45,29 +41,29 @@ type Duration = float64
 
 // event is a scheduled callback, stored in the simulator's arena. Events
 // are ordered by time, with ties broken by insertion sequence so that
-// execution order is deterministic.
+// execution order is deterministic. fn is nil once the event has fired or
+// been stopped.
 type event struct {
 	at  Time
 	seq uint64
 	fn  func()
-	// pos places the event: its heap position when >= 0, -1 when the slot
-	// is free, and -(next+3) when it is linked into an exact-time run,
-	// where next is the arena index of the following run event (-1 at the
-	// tail). A run event whose fn is nil was stopped and awaits unlinking.
+	// pos is the event's heap position while it heads a chain, and -1
+	// while it waits behind a chain head.
 	pos int32
-	// gen increments every time the arena slot is released, invalidating
-	// any Timer handles that still point at the slot.
-	gen uint32
+	// next is the arena index of the following event in the chain, -1 at
+	// the tail.
+	next int32
 }
 
 // Timer is a value handle to a scheduled event that can be canceled before
 // it fires. The zero Timer is valid and behaves as an already-expired
 // timer. Handles stay safe after their event fires or is stopped, even if
-// the underlying arena slot is reused for a later event.
+// the underlying arena slot is reused for a later event: a handle is live
+// while its slot still holds its sequence number and a callback.
 type Timer struct {
 	s   *Simulator
 	idx int32
-	gen uint32
+	seq uint64
 }
 
 // Stop cancels the timer, removes the event from the queue, and releases
@@ -75,19 +71,20 @@ type Timer struct {
 // pending; it returns false if the event already fired or was already
 // stopped.
 func (t Timer) Stop() bool {
-	if t.s == nil {
+	if !t.Pending() {
 		return false
 	}
-	ev := &t.s.arena[t.idx]
-	if ev.gen != t.gen || ev.pos == posFree {
-		return false
-	}
-	if ev.pos >= 0 {
-		t.s.removeAt(int(ev.pos))
-		t.s.release(t.idx)
+	s := t.s
+	s.pending--
+	ev := &s.arena[t.idx]
+	if ev.pos < 0 {
+		// Chained behind a live head: the slot is freed when the chain
+		// reaches it.
+		ev.fn = nil
 		return true
 	}
-	t.s.stopInRun(t.idx)
+	s.popHead(int(ev.pos))
+	s.release(t.idx)
 	return true
 }
 
@@ -97,7 +94,7 @@ func (t Timer) Pending() bool {
 		return false
 	}
 	ev := &t.s.arena[t.idx]
-	return ev.gen == t.gen && ev.pos != posFree
+	return ev.seq == t.seq && ev.fn != nil
 }
 
 // heapArity is the branching factor of the event heap. A 4-ary heap halves
@@ -105,32 +102,6 @@ func (t Timer) Pending() bool {
 // level for fewer cache-missing swaps — a win for the sift-down-dominated
 // pop path.
 const heapArity = 4
-
-// posFree marks a free arena slot; see event.pos for the other encodings.
-const posFree = -1
-
-// runLink encodes "linked into a run, followed by next" as an event.pos.
-func runLink(next int32) int32 { return -(next + 3) }
-
-// runNext decodes the next arena index of a run event's pos, -1 at the tail.
-func runNext(pos int32) int32 { return -pos - 3 }
-
-// maxRuns caps the live runs. Opening or draining a run shifts the sorted
-// runs slice, so a workload that tied pairs of events at many distinct
-// times would otherwise pay O(runs) per event; past the cap, a new time
-// goes to the heap, which orders any traffic in O(log n). The busiest
-// quick experiment (E31) peaks at 59 live runs and the fleet at 2, so the
-// cap only bounds the worst case.
-const maxRuns = 256
-
-// run is a FIFO of events that all fall due at exactly at, linked through
-// event.pos from head to tail. head is always live; live counts the
-// unstopped events, and dead ones stay linked until the head reaches them.
-type run struct {
-	at         Time
-	head, tail int32
-	live       int
-}
 
 // StationProbe observes station occupancy transitions: it is called after
 // every change to a station's queue or in-service state (submit, completion,
@@ -144,17 +115,16 @@ type StationProbe func(now Time, st *Station)
 type Simulator struct {
 	now Time
 	// arena holds every event slot ever allocated; free lists the slots
-	// currently available for reuse; heap holds arena indices of the live
-	// (scheduled, unstopped) events outside runs, ordered by (at, seq);
-	// runs holds the exact-time runs sorted by time.
-	arena []event
-	free  []int32
-	heap  []int32
-	runs  []run
-	// lastAt is the time the previous At named; a second At at the same
-	// time opens a run.
-	lastAt  Time
+	// currently available for reuse; heap holds the arena indices of the
+	// chain heads, ordered by (at, seq); last is the arena index of the
+	// most recently scheduled event (none while seq is 0), the only one a
+	// new event can chain behind.
+	arena   []event
+	free    []int32
+	heap    []int32
+	last    int32
 	seq     uint64
+	pending int
 	stopped bool
 	fired   uint64
 
@@ -166,7 +136,7 @@ type Simulator struct {
 
 // New returns a simulator with the clock at time zero.
 func New() *Simulator {
-	return &Simulator{lastAt: math.NaN()}
+	return &Simulator{}
 }
 
 // Now returns the current virtual time.
@@ -183,14 +153,8 @@ func (s *Simulator) SetStationProbe(p StationProbe) { s.stationProbe = p }
 func (s *Simulator) EventsFired() uint64 { return s.fired }
 
 // Pending returns the number of live events still queued. Stopped events
-// never count, even while a run still links their slots.
-func (s *Simulator) Pending() int {
-	n := len(s.heap)
-	for _, r := range s.runs {
-		n += r.live
-	}
-	return n
-}
+// never count, even while a chain still links their slots.
+func (s *Simulator) Pending() int { return s.pending }
 
 // alloc takes a slot from the free list (or grows the arena) and
 // initializes it for a new event.
@@ -203,22 +167,15 @@ func (s *Simulator) alloc(t Time, fn func()) int32 {
 		s.arena = append(s.arena, event{})
 		idx = int32(len(s.arena) - 1)
 	}
-	ev := &s.arena[idx]
-	ev.at = t
-	ev.seq = s.seq
-	ev.fn = fn
+	s.arena[idx] = event{at: t, seq: s.seq, fn: fn, pos: -1, next: -1}
 	s.seq++
 	return idx
 }
 
 // release returns a slot to the free list, dropping the closure so it can
-// be collected immediately and bumping the generation so stale Timer
-// handles go dead.
+// be collected immediately and so Timer handles to the slot go dead.
 func (s *Simulator) release(idx int32) {
-	ev := &s.arena[idx]
-	ev.fn = nil
-	ev.pos = posFree
-	ev.gen++
+	s.arena[idx].fn = nil
 	s.free = append(s.free, idx)
 }
 
@@ -293,58 +250,26 @@ func (s *Simulator) removeAt(i int) {
 	s.siftUp(i)
 }
 
-// findRun returns the index of the run for exactly time t and true, or
-// the index at which such a run would be inserted and false. The newest
-// run is checked first: a firing usually schedules its successor there.
-func (s *Simulator) findRun(t Time) (int, bool) {
-	n := len(s.runs)
-	if n == 0 || t > s.runs[n-1].at {
-		return n, false
+// popHead takes the chain head at heap position i off the heap: its first
+// live successor moves into its heap slot, and the stopped successors
+// before it are freed; with none left, the slot is removed. The caller
+// releases the head itself. The successor needs no sift: a chain's events
+// were scheduled back to back, so the chains due at one time own disjoint
+// ranges of sequence numbers, and every other heap entry orders against
+// the successor exactly as it did against the head.
+func (s *Simulator) popHead(i int) {
+	next := s.arena[s.heap[i]].next
+	for next >= 0 && s.arena[next].fn == nil {
+		stopped := next
+		next = s.arena[next].next
+		s.release(stopped)
 	}
-	if t == s.runs[n-1].at {
-		return n - 1, true
-	}
-	lo, hi := 0, n-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.runs[mid].at < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, s.runs[lo].at == t
-}
-
-// stopInRun cancels the live run event idx lazily: the slot goes dead in
-// place and is freed once it reaches its run's head.
-func (s *Simulator) stopInRun(idx int32) {
-	ev := &s.arena[idx]
-	ev.gen++
-	ev.fn = nil
-	i, _ := s.findRun(ev.at)
-	r := &s.runs[i]
-	r.live--
-	if r.head == idx {
-		s.trimRun(i)
-	}
-}
-
-// trimRun frees the dead events at run i's head, dropping the run when
-// none is left, so that no run is ever headed by a stopped event.
-func (s *Simulator) trimRun(i int) {
-	r := &s.runs[i]
-	idx := r.head
-	for idx >= 0 && s.arena[idx].fn == nil {
-		next := runNext(s.arena[idx].pos)
-		s.release(idx)
-		idx = next
-	}
-	if idx < 0 {
-		s.runs = slices.Delete(s.runs, i, i+1)
+	if next < 0 {
+		s.removeAt(i)
 		return
 	}
-	r.head = idx
+	s.heap[i] = next
+	s.arena[next].pos = int32(i)
 }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
@@ -361,25 +286,20 @@ func (s *Simulator) At(t Time, fn func()) Timer {
 	if fn == nil {
 		panic(fmt.Sprintf("sim: schedule of a nil callback at %v", t))
 	}
+	// The previous event is its chain's tail. It is checked before alloc,
+	// which may hand its slot out again once it has fired or been stopped.
+	chain := s.seq > 0 && s.arena[s.last].fn != nil && s.arena[s.last].at == t
 	idx := s.alloc(t, fn)
-	ev := &s.arena[idx]
-	if i, ok := s.findRun(t); ok {
-		r := &s.runs[i]
-		s.arena[r.tail].pos = runLink(idx)
-		r.tail = idx
-		r.live++
-		ev.pos = runLink(-1)
-	} else if t == s.lastAt && len(s.runs) < maxRuns {
-		s.runs = slices.Insert(s.runs, i, run{at: t, head: idx, tail: idx, live: 1})
-		ev.pos = runLink(-1)
+	if chain {
+		s.arena[s.last].next = idx
 	} else {
 		i := len(s.heap)
 		s.heap = append(s.heap, idx)
-		ev.pos = int32(i)
 		s.siftUp(i)
 	}
-	s.lastAt = t
-	return Timer{s: s, idx: idx, gen: ev.gen}
+	s.last = idx
+	s.pending++
+	return Timer{s: s, idx: idx, seq: s.arena[idx].seq}
 }
 
 // After schedules fn to run d seconds from now. A non-positive d runs the
@@ -395,29 +315,20 @@ func (s *Simulator) After(d Duration, fn func()) Timer {
 // Pending events remain queued.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// step pops and executes the next event: the smaller by (at, seq) of the
-// heap top and the earliest run's head. It reports false when the queue is
-// empty. Stopped events never reach here: Timer.Stop removes heap events
-// eagerly and a run is never headed by a stopped one.
+// step pops and executes the next event, the head of the heap's top
+// chain. It reports false when the queue is empty. Stopped events never
+// reach here: a chain head is always live.
 func (s *Simulator) step() bool {
-	var idx int32
-	switch {
-	case len(s.runs) > 0 && (len(s.heap) == 0 || s.less(s.runs[0].head, s.heap[0])):
-		r := &s.runs[0]
-		idx = r.head
-		r.head = runNext(s.arena[idx].pos)
-		r.live--
-		s.trimRun(0)
-	case len(s.heap) > 0:
-		idx = s.heap[0]
-		s.removeAt(0)
-	default:
+	if len(s.heap) == 0 {
 		return false
 	}
+	idx := s.heap[0]
+	s.popHead(0)
 	ev := &s.arena[idx]
 	s.now = ev.at
 	fn := ev.fn
 	s.release(idx)
+	s.pending--
 	s.fired++
 	fn()
 	return true
@@ -434,14 +345,10 @@ func (s *Simulator) Run() {
 // queue is empty. The sharded coordinator polls it to pick each safe
 // window's base time.
 func (s *Simulator) nextAt() Time {
-	t := math.Inf(1)
-	if len(s.heap) > 0 {
-		t = s.arena[s.heap[0]].at
+	if len(s.heap) == 0 {
+		return math.Inf(1)
 	}
-	if len(s.runs) > 0 && s.runs[0].at < t {
-		t = s.runs[0].at
-	}
-	return t
+	return s.arena[s.heap[0]].at
 }
 
 // runWindow executes every queued event with time strictly before h and

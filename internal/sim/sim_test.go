@@ -3,6 +3,7 @@ package sim
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -210,22 +211,19 @@ func TestScheduleNilPanics(t *testing.T) {
 	}
 }
 
-// TestRunsCapAtMaxRuns ties pairs of events at more distinct times than
-// maxRuns allows runs for: the surplus times go to the heap, and the
-// firing order stays (time, sequence).
-func TestRunsCapAtMaxRuns(t *testing.T) {
+// TestTiesAtManyTimesFireInOrder schedules three tied events at each of
+// hundreds of distinct times, latest time first, so the heap holds many
+// chains at once: the firing order must still be (time, sequence).
+func TestTiesAtManyTimesFireInOrder(t *testing.T) {
 	s := New()
 	var got []int
 	n := 0
-	for i := 2 * maxRuns; i > 0; i-- {
+	for i := 512; i > 0; i-- {
 		for j := 0; j < 3; j++ {
 			n++
 			id := i*3 + j
 			s.At(float64(i), func() { got = append(got, id) })
 		}
-	}
-	if len(s.runs) != maxRuns {
-		t.Fatalf("%d live runs, want the cap %d", len(s.runs), maxRuns)
 	}
 	s.Run()
 	if len(got) != n {
@@ -235,5 +233,13 @@ func TestRunsCapAtMaxRuns(t *testing.T) {
 		if got[k] <= got[k-1] {
 			t.Fatalf("firing %d ran event %d after %d", k, got[k], got[k-1])
 		}
+	}
+}
+
+// TestEventIs32Bytes pins the arena slot size: two events share a 64-byte
+// cache line.
+func TestEventIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 32 {
+		t.Fatalf("event is %d bytes, want 32", n)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -96,10 +97,10 @@ func TestKernelStressCrossCheck(t *testing.T) {
 	}
 }
 
-// TestTimerHandleSafeAcrossArenaReuse pins the generation-counter
-// guarantee: a handle to a fired (or stopped) event must stay dead even
-// after its arena slot is recycled for a newer event, and must never be
-// able to stop the newcomer.
+// TestTimerHandleSafeAcrossArenaReuse pins the sequence-number guarantee:
+// a handle to a fired (or stopped) event must stay dead even after its
+// arena slot is recycled for a newer event, and must never be able to stop
+// the newcomer.
 func TestTimerHandleSafeAcrossArenaReuse(t *testing.T) {
 	s := New()
 	stale := s.At(1, func() {})
@@ -134,6 +135,46 @@ func TestTimerHandleSafeAcrossArenaReuse(t *testing.T) {
 	s.Run()
 	if !reused {
 		t.Fatal("event in reused slot did not fire")
+	}
+
+	// Same property for a stopped event chained behind a tie: its slot is
+	// freed when its chain's head reaches it, and a later At reuses it.
+	s.At(20, func() {})
+	chained := s.At(20, func() { t.Fatal("stopped chained event fired") })
+	tailFired := false
+	s.At(20, func() { tailFired = true })
+	if !chained.Stop() {
+		t.Fatal("Stop on a pending chained timer returned false")
+	}
+	if chained.Pending() || chained.Stop() {
+		t.Fatal("stopped chained handle still live")
+	}
+	s.RunUntil(20)
+	if !tailFired {
+		t.Fatal("event chained behind a stopped one did not fire")
+	}
+	// The three freed slots and one new one: the chained slot must be
+	// handed out exactly once.
+	fired := 0
+	newcomers := make([]Timer, 4)
+	for i := range newcomers {
+		newcomers[i] = s.At(30, func() { fired++ })
+	}
+	i := slices.IndexFunc(newcomers, func(n Timer) bool { return n.idx == chained.idx })
+	if i < 0 {
+		t.Fatal("no later At reused the stopped chained slot")
+	}
+	if chained.Pending() || chained.Stop() {
+		t.Fatal("stopped chained handle came back to life after slot reuse")
+	}
+	for _, n := range newcomers {
+		if !n.Pending() {
+			t.Fatal("a newcomer is not pending before the run")
+		}
+	}
+	s.Run()
+	if fired != len(newcomers) {
+		t.Fatalf("%d of %d events fired after the chained slot's reuse", fired, len(newcomers))
 	}
 }
 
