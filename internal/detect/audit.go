@@ -119,14 +119,14 @@ func (d *TrendDetector) Explain() trace.Evidence {
 }
 
 // Explain implements Explainer: the member's window median against a
-// fraction of the exclude-one fleet median, read off the current mirror
-// (NaN for both before the member's first sample).
+// fraction of the exclude-one fleet median, read off the current median
+// band (NaN for both before the member's first sample).
 func (a *peerAdapter) Explain() trace.Evidence {
 	m := a.set.members[a.id]
 	obs, ref := math.NaN(), math.NaN()
 	if m != nil && m.window.Len() > 0 {
 		obs = m.med
-		ref = peerMedian(a.set.sortedMeds(), m)
+		ref = peerMedian(a.set.medianBand(), m)
 	}
 	return trace.Evidence{
 		Signal: "window-median", Observed: obs,

@@ -24,7 +24,6 @@ package detect
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"failstutter/internal/spec"
@@ -254,23 +253,24 @@ type PeerConfig struct {
 // components fire — the property ablation A3 measures.
 //
 // Each member's window median is cached on observe, and a verdict reads
-// the exclude-one fleet median off one ascending mirror of those medians
-// in O(1) (stats.QuantileSortedExcluding), so no per-verdict copy or
-// search exists at any fleet size. Observes only mark the mirror dirty (a
-// registration leaves it as is: the mirror holds sampled members only);
-// the next read rebuilds it with one copy and one sort into a reusable
-// buffer. Every caller works in phases — observe every member, then read
-// every verdict (A3's eight components, the network example's ports, the
-// fleet experiments' barrier sweep over up to 2^20 disks) — so the mirror
-// is rebuilt once per phase: a full sweep is one O(P log P) sort plus P
-// O(1) reads, with zero allocation once the buffer has grown to fleet
-// size.
+// the exclude-one fleet median in O(1) off a median band: the three
+// middle order statistics and the maximum of those medians
+// (stats.MedianBand), so no per-verdict copy or search exists at any
+// fleet size. Observes only mark the band dirty (a registration leaves it
+// as is: the band covers sampled members only); the next read refills it
+// with one copy into a reusable buffer and one expected-O(P) select.
+// Every caller works in phases — observe every member, then read every
+// verdict (A3's eight components, the network example's ports, the fleet
+// experiments' barrier sweep over up to 2^20 disks) — so the band is
+// refilled once per phase: a full sweep is one O(P) select plus P O(1)
+// reads, with zero allocation once the buffer has grown to fleet size.
 type PeerSet struct {
 	cfg     PeerConfig
 	members map[string]*peerMember
 	list    []*peerMember // members in registration order, the rebuild source
-	meds    []float64     // cached window medians of the sampled members, ascending
-	// medsDirty marks the mirror stale; the next read rebuilds it.
+	meds    []float64     // scratch for the band: the sampled members' cached medians
+	band    stats.MedianBand
+	// medsDirty marks the band stale; the next read refills it.
 	medsDirty bool
 	ids       []string // sorted member ids; nil after a membership change
 	// flagCounts holds the sweep engine's per-worker flag counters
@@ -332,10 +332,10 @@ func (p *PeerSet) addMember(id string) *peerMember {
 	return m
 }
 
-// rebuildMeds regenerates the ascending mirror from the cached median of
-// every member holding at least one sample — a registered member that has
-// never reported is nobody's peer. One copy in registration order, one
-// in-place slices.Sort (NaNs first, the sort.Float64s order), no
+// rebuildMeds refills the band from the cached median of every member
+// holding at least one sample — a registered member that has never
+// reported is nobody's peer. One copy in registration order into the
+// reusable buffer, which the band's select then reorders in place; no
 // allocation once the buffer has grown to fleet size.
 func (p *PeerSet) rebuildMeds() {
 	if cap(p.meds) < len(p.list) {
@@ -347,19 +347,19 @@ func (p *PeerSet) rebuildMeds() {
 			meds = append(meds, m.med)
 		}
 	}
-	slices.Sort(meds)
+	p.band.Fill(meds)
 	p.meds = meds
 	p.medsDirty = false
 }
 
-// sortedMeds returns the ascending mirror, rebuilding it first if an
-// observe has left it stale. Every reader of the mirror — Verdict,
-// SweepVerdicts and the evidence behind a verdict — goes through here.
-func (p *PeerSet) sortedMeds() []float64 {
+// medianBand returns the band, refilling it first if an observe has left
+// it stale. Every reader of the band — Verdict, SweepVerdicts and the
+// evidence behind a verdict — goes through here.
+func (p *PeerSet) medianBand() *stats.MedianBand {
 	if p.medsDirty {
 		p.rebuildMeds()
 	}
-	return p.meds
+	return &p.band
 }
 
 // Members returns the component ids in sorted order. The slice is cached
@@ -375,12 +375,12 @@ func (p *PeerSet) Members() []string {
 	return p.ids
 }
 
-// peerMedian computes the median of the sorted mirror meds excluding the
+// peerMedian computes the median of the band's medians excluding the
 // sampled member m's entry (duplicates are interchangeable — excluding any
 // one of them leaves the same multiset) in O(1): no search and no copy at
 // any fleet size. NaN when m has no peers.
-func peerMedian(meds []float64, m *peerMember) float64 {
-	return stats.QuantileSortedExcluding(meds, m.med, 0.5)
+func peerMedian(band *stats.MedianBand, m *peerMember) float64 {
+	return band.MedianExcluding(m.med)
 }
 
 // Verdict classifies the named component as of the given time.
@@ -392,7 +392,7 @@ func (p *PeerSet) Verdict(id string, now float64) spec.Verdict {
 	if v, done := p.quickVerdict(m, now); done {
 		return v
 	}
-	return p.classify(p.sortedMeds(), m)
+	return p.classify(p.medianBand(), m)
 }
 
 // quickVerdict resolves the verdicts that need no fleet median: unseen
@@ -412,10 +412,10 @@ func (p *PeerSet) quickVerdict(m *peerMember, now float64) (v spec.Verdict, done
 }
 
 // classify compares the sampled member's cached median against the
-// exclude-one median of the clean mirror meds. It only reads, so the
-// sweep engine fans it across workers after one rebuild.
-func (p *PeerSet) classify(meds []float64, m *peerMember) spec.Verdict {
-	ref := peerMedian(meds, m)
+// exclude-one median read off the clean band. It only reads, so the
+// sweep engine fans it across workers after one refill.
+func (p *PeerSet) classify(band *stats.MedianBand, m *peerMember) spec.Verdict {
+	ref := peerMedian(band, m)
 	if math.IsNaN(ref) {
 		return spec.Nominal
 	}

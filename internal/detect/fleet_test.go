@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -70,8 +71,8 @@ func TestPeerSetLargeFleetMatchesBruteForce(t *testing.T) {
 // TestPeerSetInterleavedAcrossCutoff interleaves Observe and Verdict while
 // the fleet grows from 1 to 542 members: every verdict issued mid-growth
 // must match a brute-force reference over the members seen so far, so
-// rebuilding the mirror on a read after each observe leaves no seam at
-// any fleet size.
+// refilling the median band on a read after each observe leaves no seam
+// at any fleet size.
 func TestPeerSetInterleavedAcrossCutoff(t *testing.T) {
 	cfg := PeerConfig{WindowSamples: 3, Threshold: 0.7, MinPeers: 4}
 	p := NewPeerSet(cfg)
@@ -187,8 +188,8 @@ func TestPeerSetSilentMembersAreNotPeers(t *testing.T) {
 
 // TestPeerSetEvidenceTracksFleetShift pins the audit evidence to the
 // current fleet: after every member moves from 100 to 10, the peer median
-// a member's evidence reports must be 10, not the mirror left over from
-// the last verdict read.
+// a member's evidence reports must be 10, not the median band left over
+// from the last verdict read.
 func TestPeerSetEvidenceTracksFleetShift(t *testing.T) {
 	for _, peers := range []int{20, 600} {
 		t.Run(fmt.Sprintf("peers=%d", peers), func(t *testing.T) {
@@ -208,6 +209,55 @@ func TestPeerSetEvidenceTracksFleetShift(t *testing.T) {
 			if ev.Observed != 10 || ev.Reference != 10 {
 				t.Fatalf("evidence after the shift: observed %v, peer median %v; want 10 and 10",
 					ev.Observed, ev.Reference)
+			}
+		})
+	}
+}
+
+// TestPeerSetSmallFleetsMatchReference covers the median band's small
+// cases: 2 to 6 sampled members, so the peer count n−1 takes both
+// parities, among silent registered members that are nobody's peer, with
+// member 1 at the fleet maximum. Verdict, SweepVerdicts and the evidence's
+// peer median must all agree with the brute-force reference, the medians
+// bit for bit.
+func TestPeerSetSmallFleetsMatchReference(t *testing.T) {
+	rates := []float64{90, 1000, 40, 100, 110, 100}
+	for sampled := 2; sampled <= len(rates); sampled++ {
+		t.Run(fmt.Sprintf("sampled=%d", sampled), func(t *testing.T) {
+			p := NewPeerSet(PeerConfig{WindowSamples: 1, Threshold: 0.7, MinPeers: 2})
+			var ids []string
+			for i := 0; i < sampled; i++ {
+				silent := fmt.Sprintf("s%d", i)
+				p.Register(silent)
+				ids = append(ids, silent, fmt.Sprintf("d%d", i))
+			}
+			for i := 0; i < sampled; i++ {
+				p.Observe(fmt.Sprintf("d%d", i), 1, rates[i])
+			}
+			for _, id := range ids {
+				if got, want := p.Verdict(id, 1), refPeerVerdict(p, id, 1); got != want {
+					t.Fatalf("Verdict(%s) = %v, brute force says %v", id, got, want)
+				}
+				ev := EvidenceOf(p.ComponentDetector(id))
+				_, want := refEvidence(p, id)
+				if math.Float64bits(ev.Reference) != math.Float64bits(want) {
+					t.Fatalf("evidence for %s: peer median %v, brute force says %v", id, ev.Reference, want)
+				}
+			}
+			out := make([]spec.Verdict, p.MemberCount())
+			flagged := p.SweepVerdicts(testPool{n: 2}, 1, out)
+			count := 0
+			for _, id := range ids {
+				v := out[p.Register(id)]
+				if want := refPeerVerdict(p, id, 1); v != want {
+					t.Fatalf("sweep verdict for %s = %v, brute force says %v", id, v, want)
+				}
+				if v != spec.Nominal {
+					count++
+				}
+			}
+			if count == 0 || flagged != count {
+				t.Fatalf("sweep flagged %d, %d verdicts are non-nominal; want the same, above 0", flagged, count)
 			}
 		})
 	}

@@ -9,23 +9,22 @@ import (
 // This file is the parallel fleet-sweep engine: the multi-core path
 // through a PeerSet monitoring sweep. A sweep has two phases — observe
 // every member, then classify every member — and both are embarrassingly
-// parallel once the shared sorted-median mirror is taken off the inner
-// loop:
+// parallel once the shared median band is taken off the inner loop:
 //
 //   - SweepObserve partitions the fleet's members into contiguous dense
 //     index ranges, one per worker, and runs the per-member observe on
 //     each; a member's window and cached median are member-private, so
-//     workers touch disjoint state. The mirror is only marked dirty.
-//   - SweepVerdicts rebuilds the mirror once on the caller — the same
-//     single sort a per-id Verdict would run — then fans the read-only
-//     exclude-one classification across the same index ranges, counting
-//     flags in per-worker counters that are reduced in global member
-//     order after the barrier, so the flag count never depends on
+//     workers touch disjoint state. The band is only marked dirty.
+//   - SweepVerdicts refills the band once on the caller — the same single
+//     expected-O(P) select a per-id Verdict would run — then fans the
+//     read-only exclude-one classification across the same index ranges,
+//     counting flags in per-worker counters that are reduced in global
+//     member order after the barrier, so the flag count never depends on
 //     goroutine timing.
 //
 // Byte-determinism therefore holds at every worker count: verdicts are
-// pure functions of member state and the (unique) sorted mirror, and
-// every reduction runs in dense member order.
+// pure functions of member state and the band, whose order statistics
+// are unique, and every reduction runs in dense member order.
 
 // Parallel abstracts the worker pool the sweep engine fans across:
 // Do(fn) must run fn(w) once for each worker w in [0, Workers()) and
@@ -95,7 +94,7 @@ func (p *PeerSet) SweepObserve(par Parallel, now float64, rates []float64) {
 
 // SweepVerdicts classifies every member as of now, writing dense member
 // i's verdict to out[i], and returns the number of non-nominal members.
-// A stale mirror is rebuilt once, before the fan-out; the exclude-one
+// A stale band is refilled once, before the fan-out; the exclude-one
 // classification then runs read-only across the workers, and the
 // per-worker flag counters are reduced in global member order, so the
 // count and every byte of out are identical at any worker count.
@@ -110,7 +109,7 @@ func (p *PeerSet) SweepVerdicts(par Parallel, now float64, out []spec.Verdict) i
 	if par == nil {
 		par = Serial
 	}
-	meds := p.sortedMeds()
+	band := p.medianBand()
 	workers := par.Workers()
 	if cap(p.flagCounts) < workers {
 		p.flagCounts = make([]int, workers)
@@ -123,7 +122,7 @@ func (p *PeerSet) SweepVerdicts(par Parallel, now float64, out []spec.Verdict) i
 			m := p.list[i]
 			v, done := p.quickVerdict(m, now)
 			if !done {
-				v = p.classify(meds, m)
+				v = p.classify(band, m)
 			}
 			out[i] = v
 			if v != spec.Nominal {

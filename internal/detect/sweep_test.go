@@ -109,7 +109,7 @@ func TestSweepThenObserveKeepsMirrorConsistent(t *testing.T) {
 	for i, id := range ids {
 		serial.Observe(id, 1, rates[i])
 	}
-	// Per-id observes after the sweep: the dirty mirror must survive them.
+	// Per-id observes after the sweep: the dirty band must survive them.
 	for i, id := range ids {
 		mixed.Observe(id, 2, rates[i])
 		serial.Observe(id, 2, rates[i])

@@ -233,10 +233,10 @@ func RunFleetScenario(p FleetParams) FleetResult {
 	// The barrier drains every tick's samples into the fleet sweep: all
 	// shards have sampled tick k once the window horizon passes k. The
 	// sweep itself fans across the kernel's barrier pool — observe all,
-	// rebuild the median mirror with one sort on the coordinator, classify
-	// all — with every reduction in dense disk order, so the outcome is
-	// byte-identical at any worker count. Only the serial bookkeeping loop
-	// below reads the verdicts.
+	// refill the median band with one O(P) select on the coordinator,
+	// classify all — with every reduction in dense disk order, so the
+	// outcome is byte-identical at any worker count. Only the serial
+	// bookkeeping loop below reads the verdicts.
 	ps := detect.NewPeerSet(detect.PeerConfig{
 		WindowSamples: 4, Threshold: 0.7, MinPeers: 4, PromotionTimeout: 2.5,
 	})

@@ -67,3 +67,30 @@ func FuzzWindow(f *testing.F) {
 		}
 	})
 }
+
+// fuzzMaxBand bounds the values one FuzzMedianBand input fills a band
+// with.
+const fuzzMaxBand = 64
+
+// FuzzMedianBand decodes its input as a probe value followed by 1 to 64
+// values, all raw little-endian 64-bit floats, so NaNs, ±Inf, ±0 and
+// repeated values all reach the band. It fills a MedianBand from the
+// values and checks the exclude-one median for every value and for the
+// probe against the sort reference, refMedianExcluding. The seed corpus
+// under testdata/fuzz/FuzzMedianBand replays on every go test run.
+func FuzzMedianBand(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 16 {
+			return
+		}
+		probe := math.Float64frombits(binary.LittleEndian.Uint64(in))
+		var xs []float64
+		for in = in[8:]; len(in) >= 8 && len(xs) < fuzzMaxBand; in = in[8:] {
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(in)))
+		}
+		for _, x := range xs {
+			bandMatchesRef(t, xs, x)
+		}
+		bandMatchesRef(t, xs, probe)
+	})
+}

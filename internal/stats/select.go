@@ -118,37 +118,69 @@ func QuantileSorted(sorted []float64, q float64) float64 {
 	return quantileSorted(sorted, q)
 }
 
-// QuantileSortedExcluding returns the q-quantile of the sorted slice with
-// one element removed: the first not less than x under the sort.Float64s
-// order (NaNs first), which is x's first occurrence when x is present. It
-// equals copying the slice minus that element and calling QuantileSorted —
-// but in O(1), with no copy and no search: an index i lies at or past the
-// removed element exactly when sorted[i] is not less than x. NaN when no
-// element is removed (x above every element) or none would remain. The
-// peer-comparison detector reads an exclude-one fleet median per member
-// this way, which is what makes million-member sweeps feasible.
-func QuantileSortedExcluding(sorted []float64, x, q float64) float64 {
-	n := len(sorted)
-	if n <= 1 || floatLess(sorted[n-1], x) || q < 0 || q > 1 || math.IsNaN(q) {
+// MedianBand holds the few order statistics an exclude-one median
+// reads. With n values and lo = ⌊(n−2)/2⌋, the median of the n−1 values
+// left after removing one reads ranks lo, lo+1 and lo+2 of the sorted
+// values, and whether a rank lies past the removed value depends only on
+// the value at that rank; the maximum decides whether any value is
+// removed at all. Ranks are under floatLess (NaNs first, the
+// sort.Float64s order). The peer-comparison detector fills one band per
+// sweep and reads an exclude-one fleet median per member off it, which
+// is what makes million-member sweeps feasible.
+type MedianBand struct {
+	n    int
+	rank [3]float64 // ranks lo, lo+1 and lo+2, those below n
+	max  float64
+}
+
+// Fill draws the band from xs, partially reordering it: one Select for
+// rank lo, then one scan of the suffix above it for the next two ranks
+// and the maximum. Expected O(n), no allocation.
+func (b *MedianBand) Fill(xs []float64) {
+	b.n = len(xs)
+	if b.n < 2 {
+		return // no value is left to take a median of after a removal
+	}
+	lo := (b.n - 2) / 2
+	b.rank[0] = Select(xs, lo)
+	// After Select the suffix holds every value ranked above lo, and it
+	// is never empty: lo ≤ n−2.
+	suffix := xs[lo+1:]
+	r1, r2, mx := suffix[0], suffix[0], suffix[0]
+	for i, v := range suffix[1:] {
+		switch {
+		case floatLess(v, r1):
+			r1, r2 = v, r1
+		case i == 0 || floatLess(v, r2):
+			r2 = v
+		}
+		if floatLess(mx, v) {
+			mx = v
+		}
+	}
+	b.rank[1], b.rank[2], b.max = r1, r2, mx
+}
+
+// MedianExcluding returns the median of the filled values with one
+// removed: the first not less than x under floatLess, which is x's first
+// occurrence when x is present. It has the bits of copying the sorted
+// values minus that one and calling QuantileSorted(copy, 0.5), in O(1).
+// NaN when no value is removed (x above every value) or none would
+// remain.
+func (b *MedianBand) MedianExcluding(x float64) float64 {
+	if b.n < 2 || floatLess(b.max, x) {
 		return math.NaN()
 	}
-	// at indexes the virtual n-1 element slice with the element removed.
+	// at reads rank lo+i of the n−1 values left: the removed value lies
+	// at or before rank lo+i exactly when that rank is not less than x.
 	at := func(i int) float64 {
-		if !floatLess(sorted[i], x) {
+		if !floatLess(b.rank[i], x) {
 			i++
 		}
-		return sorted[i]
+		return b.rank[i]
 	}
-	m := n - 1
-	if m == 1 {
-		return at(0)
+	if b.n%2 == 0 {
+		return at(0) // n−1 values left, an odd count: one middle rank
 	}
-	pos := q * float64(m-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return at(lo)
-	}
-	frac := pos - float64(lo)
-	return at(lo)*(1-frac) + at(hi)*frac
+	return at(0)*0.5 + at(1)*0.5
 }

@@ -146,13 +146,43 @@ func TestSelectAndQuantileInPlaceDoNotAllocate(t *testing.T) {
 	}
 }
 
-// Property: QuantileSortedExcluding(xs, x, q) has the bits of copying xs
-// minus the first element equal to or above x — x's first occurrence when
-// present — and reading QuantileSorted off the copy, and is NaN when no
-// element is removed. Slices of 1 to 20 elements hold duplicates and NaNs;
-// x is drawn from the slice, between its elements, above its maximum, or
-// NaN.
-func TestQuantileSortedExcludingMatchesCopyProperty(t *testing.T) {
+// refMedianExcluding is the sort reference for MedianBand: sort a copy
+// of xs, remove the first element not less than x under floatLess — x's
+// first occurrence when present — and read QuantileSorted(rest, 0.5). NaN
+// when no element is removed or none remains.
+func refMedianExcluding(xs []float64, x float64) float64 {
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	for i, v := range sorted {
+		if !floatLess(v, x) {
+			rest := append(sorted[:i:i], sorted[i+1:]...)
+			return QuantileSorted(rest, 0.5)
+		}
+	}
+	return math.NaN()
+}
+
+// bandMatchesRef fills a band from a copy of xs and checks its
+// exclude-one median for x against refMedianExcluding. Bits must match,
+// except between values floatLess cannot order apart (±0, NaN payloads):
+// which of those a rank holds is unspecified under the sort reference
+// too. sameFloat is exactly that comparison.
+func bandMatchesRef(t *testing.T, xs []float64, x float64) {
+	t.Helper()
+	var b MedianBand
+	b.Fill(append([]float64(nil), xs...))
+	got, want := b.MedianExcluding(x), refMedianExcluding(xs, x)
+	if !sameFloat(got, want) {
+		t.Fatalf("MedianBand(%v).MedianExcluding(%v) = %v, want %v", xs, x, got, want)
+	}
+}
+
+// Property: a MedianBand filled from xs gives, for every x, the bits of
+// removing the first sorted element not less than x and reading the
+// median of the rest, and NaN when no element is removed. Slices of 1 to
+// 20 elements hold duplicates and NaNs in arbitrary order; x is drawn
+// from the slice, between its elements, above its maximum, or NaN.
+func TestMedianBandMatchesCopyProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 4000; trial++ {
 		xs := randSlice(rng, 1+rng.Intn(20))
@@ -161,7 +191,12 @@ func TestQuantileSortedExcludingMatchesCopyProperty(t *testing.T) {
 				xs[i] = math.NaN()
 			}
 		}
-		sort.Float64s(xs)
+		top := xs[0]
+		for _, v := range xs {
+			if floatLess(top, v) {
+				top = v
+			}
+		}
 		var x float64
 		switch rng.Intn(4) {
 		case 0:
@@ -170,42 +205,54 @@ func TestQuantileSortedExcludingMatchesCopyProperty(t *testing.T) {
 			x = float64(rng.Intn(5)) + 0.5 // absent: between the forced duplicates
 		case 2:
 			x = math.Inf(1)
-			if !math.IsInf(xs[len(xs)-1], 1) {
-				x = xs[len(xs)-1] + 1 // above the maximum (or any number, if all NaN)
+			if !math.IsInf(top, 1) {
+				x = top + 1 // above the maximum (or any number, if all NaN)
 			}
 		case 3:
 			x = math.NaN()
 		}
-		q := rng.Float64()
-		if trial%5 == 0 {
-			q = 0.5
-		}
-		want := math.NaN()
-		for i, v := range xs {
-			if sameFloat(v, x) || v > x || (math.IsNaN(x) && !math.IsNaN(v)) {
-				rest := append(append([]float64(nil), xs[:i]...), xs[i+1:]...)
-				want = QuantileSorted(rest, q)
-				break
-			}
-		}
-		if got := QuantileSortedExcluding(xs, x, q); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("trial %d: QuantileSortedExcluding(%v, %v, %v) = %v, want %v",
-				trial, xs, x, q, got, want)
-		}
+		bandMatchesRef(t, xs, x)
 	}
+	nan := math.NaN()
 	for _, tc := range []struct {
 		xs      []float64
 		x, want float64
 	}{
-		{[]float64{1}, 1, math.NaN()},             // n = 1: no peer remains
-		{[]float64{1, 2}, 1, 2},                   // n = 2: the other element
-		{[]float64{1, 2}, 2, 1},                   // n = 2, excluding the maximum
-		{[]float64{1, 2}, 3, math.NaN()},          // above the maximum
-		{[]float64{1, 1}, 1, 1},                   // duplicates are interchangeable
-		{[]float64{math.NaN(), 1}, math.NaN(), 1}, // NaN excludes the NaN
+		{[]float64{1}, 1, nan},             // n = 1: no peer remains
+		{[]float64{1, 2}, 1, 2},            // n = 2: the other element
+		{[]float64{2, 1}, 2, 1},            // n = 2, excluding the maximum
+		{[]float64{1, 2}, 3, nan},          // above the maximum
+		{[]float64{1, 1}, 1, 1},            // duplicates are interchangeable
+		{[]float64{1, nan}, nan, 1},        // NaN excludes the NaN
+		{[]float64{3, 1, 2}, 2, 2},         // n = 3: the mean of the other two
+		{[]float64{3, 1, 2}, 1, 2.5},       // n = 3, excluding the minimum
+		{[]float64{4, 1, 3, 2}, 3, 2},      // n = 4: the middle of three
+		{[]float64{4, 1, 3, 2}, 1, 3},      // n = 4, excluding the minimum
+		{[]float64{5, 1, 4, 2, 3}, 3, 3},   // n = 5: the mean of ranks 1 and 2
+		{[]float64{5, 1, 4, 2, 3}, 5, 2.5}, // n = 5, excluding the maximum
+		{[]float64{2, 2, 1, 2, 3}, 2, 2},   // n = 5 with ties at the middle
 	} {
-		if got := QuantileSortedExcluding(tc.xs, tc.x, 0.5); !sameFloat(got, tc.want) {
-			t.Fatalf("QuantileSortedExcluding(%v, %v, 0.5) = %v, want %v", tc.xs, tc.x, got, tc.want)
+		var b MedianBand
+		b.Fill(append([]float64(nil), tc.xs...))
+		if got := b.MedianExcluding(tc.x); !sameFloat(got, tc.want) {
+			t.Fatalf("MedianBand(%v).MedianExcluding(%v) = %v, want %v", tc.xs, tc.x, got, tc.want)
 		}
+		bandMatchesRef(t, tc.xs, tc.x)
+	}
+}
+
+// TestMedianBandFillDoesNotAllocate pins the band's refill, which the
+// fleet sweep runs once per barrier over every member's median, at zero
+// allocations.
+func TestMedianBandFillDoesNotAllocate(t *testing.T) {
+	xs := benchData(1 << 12)
+	work := make([]float64, len(xs))
+	var b MedianBand
+	if n := testing.AllocsPerRun(100, func() {
+		copy(work, xs)
+		b.Fill(work)
+		b.MedianExcluding(xs[7])
+	}); n != 0 {
+		t.Fatalf("MedianBand.Fill allocates %v per run", n)
 	}
 }
