@@ -71,6 +71,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"unknown-id", []string{"run", "E99"}, 2, `unknown experiment "E99"`},
 		{"run-without-ids", []string{"run"}, 2, "at least one experiment id required"},
 		{"bad-format", []string{"-format", "xml", "list"}, 2, `unknown format "xml"`},
+		{"bench-no-samples", []string{"bench", "-samples", "0"}, 2, "-samples must be at least 1, got 0"},
 		{"uncovered-oracle", []string{"oracle", "E01", "E09", "-quick", "-out", oracleDir}, 2, "no predictor for experiment E09"},
 		{"list", []string{"list"}, 0, ""},
 	} {

@@ -94,18 +94,7 @@ func barrierPass(cfg experiments.Config, e experiments.Experiment) *profile.Barr
 	rep := &profile.BarrierReport{Experiment: e.ID}
 	cfg.ObserveBarrier = func(run string, st sim.BarrierStats, perShard []uint64) {
 		rep.Runs = append(rep.Runs, profile.BarrierRun{
-			Run:            run,
-			Shards:         len(perShard),
-			Windows:        st.Windows,
-			Fired:          st.Fired,
-			Delivered:      st.Delivered,
-			SoloWindows:    st.SoloWindows,
-			MaxWindowFired: st.MaxWindowFired,
-			PerShardFired:  perShard,
-			WindowNanos:    st.WindowNanos,
-			BarrierNanos:   st.BarrierNanos,
-			DeliverNanos:   st.DeliverNanos,
-			SweepNanos:     st.SweepNanos,
+			Run: run, Shards: len(perShard), BarrierStats: st, PerShardFired: perShard,
 		})
 	}
 	e.Run(cfg)
@@ -202,8 +191,14 @@ func oversubscription(gomaxprocs, numcpu, shards, sweepWorkers int) string {
 //
 // An oversubscribed baseline measures contention, not the code, so
 // cmdBench exits 2 with a one-line reason, before running anything, when
-// GOMAXPROCS, -shards or -sweep-workers exceeds the host's CPU count.
+// GOMAXPROCS, -shards or -sweep-workers exceeds the host's CPU count. It
+// exits 2 the same way when -samples is below 1, which would write
+// entries with no samples.
 func cmdBench(cfg experiments.Config, samples int, outPath string) {
+	if samples < 1 {
+		fmt.Fprintf(os.Stderr, "fstutter bench: -samples must be at least 1, got %d\n", samples)
+		os.Exit(2)
+	}
 	cfg.Quick = true
 	sweepWorkers := cfg.SweepWorkers
 	if sweepWorkers <= 0 {
@@ -269,23 +264,22 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 		fleetSamples = 2
 	}
 	type fleetConfig struct {
-		name      string
-		shards    int
-		workers   int
-		rebalance bool
-		traced    bool
-		samples   int
+		name    string
+		shards  int
+		workers int
+		traced  bool
+		samples int
 	}
 	configs := []fleetConfig{
 		// The headline pair: fully serial (one shard, one sweep worker)
-		// versus the configured parallelism with load-balanced placement.
+		// versus the configured parallelism.
 		{name: "fleet/1M/serial", shards: 1, workers: 1, samples: fleetSamples},
 		{name: "fleet/1M/sharded", shards: cfg.ShardCount(), workers: cfg.SweepWorkers,
-			rebalance: true, samples: fleetSamples},
+			samples: fleetSamples},
 		// The tracing tax at fleet scale: the same sharded configuration
 		// with per-shard collectors and the flight recorder on.
 		{name: "fleet/1M/traced", shards: cfg.ShardCount(), workers: cfg.SweepWorkers,
-			rebalance: true, traced: true, samples: fleetSamples},
+			traced: true, samples: fleetSamples},
 	}
 	// The sweep-worker scaling axis: same sharded kernel, barrier pool
 	// doubling from 1 to GOMAXPROCS. One sample each — the axis maps the
@@ -293,7 +287,7 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 	for w := 1; w <= runtime.GOMAXPROCS(0); w *= 2 {
 		configs = append(configs, fleetConfig{
 			name:   fmt.Sprintf("fleet/1M/sharded/w=%d", w),
-			shards: cfg.ShardCount(), workers: w, rebalance: true, samples: 1,
+			shards: cfg.ShardCount(), workers: w, samples: 1,
 		})
 	}
 	medians := map[string]float64{}
@@ -318,8 +312,7 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 					}
 					r := experiments.RunFleetScenario(experiments.FleetParams{
 						Disks: megaFleetDisks, Shards: c.shards, Seed: cfg.Seed,
-						SweepWorkers: c.workers, Rebalance: c.rebalance,
-						Telemetry: tel,
+						SweepWorkers: c.workers, Telemetry: tel,
 					})
 					events = r.Events
 				}

@@ -154,12 +154,12 @@ func runA4(cfg Config) *Table {
 			Install(s, a.Pairs()[0].A.Composite())
 	}
 	for _, depth := range []int{1, 2, 8, 32} {
-		static := runStriper(scenarioRates(), blocks, raid.AdaptivePull{Depth: depth}, nil)
+		static := runStriper(nil, "", scenarioRates(), blocks, raid.AdaptivePull{Depth: depth}, nil)
 		healthy := make([]float64, scenarioPairs)
 		for i := range healthy {
 			healthy[i] = scenarioB
 		}
-		stalling := runStriper(healthy, blocks, raid.AdaptivePull{Depth: depth}, oscillate)
+		stalling := runStriper(nil, "", healthy, blocks, raid.AdaptivePull{Depth: depth}, oscillate)
 		t.AddRow(fmt.Sprintf("%d", depth), mb(static.Throughput), mb(stalling.Throughput))
 		t.SetMetric(fmt.Sprintf("static_d%d", depth), static.Throughput)
 		t.SetMetric(fmt.Sprintf("stall_d%d", depth), stalling.Throughput)

@@ -57,12 +57,10 @@ type FleetParams struct {
 	// observe and classify phases fan across this many workers. Zero means
 	// GOMAXPROCS. The result is byte-identical at any value.
 	SweepWorkers int
-	// Rebalance load-balances disks across shards before construction: an
-	// analytic per-disk event-cost model, built from each disk's fault
-	// draw, feeds sim.RecommendPlacement, and the plan is installed with
-	// SetPlacement.
-	// Placement is just another partition, so results are unchanged; only
-	// the per-shard wall-clock balance moves.
+	// Rebalance is ignored: disks are always dealt to shards in
+	// contiguous index blocks.
+	//
+	// Deprecated: kept only so existing callers that set it still build.
 	Rebalance bool
 	// ObserveBarrier, when non-nil, enables the kernel's barrier cost
 	// counters and receives the profile after the run.
@@ -134,90 +132,63 @@ func RunFleetScenario(p FleetParams) FleetResult {
 	if p.ObserveBarrier != nil {
 		ss.Profile()
 	}
-	// Draw every disk's base rate and fault from its own stream, forked by
-	// disk identity, before anything is built: placement needs the fault
-	// draws ahead of construction. faultKind: 0 healthy, 1 stutter, 2 fail.
-	root := sim.NewRNG(p.Seed).Fork("e32")
-	ids := make([]string, p.Disks)
-	rates := make([]float64, p.Disks)
-	faultKind := make([]uint8, p.Disks)
-	res := FleetResult{}
-	for i := range ids {
-		ids[i] = fmt.Sprintf("d%07d", i)
-		rng := root.Fork(ids[i])
-		rates[i] = 80 + 40*rng.Float64()
-		switch u := rng.Float64(); {
-		case u < failFrac:
-			faultKind[i] = 2
-			res.InjectedFail++
-		case u < failFrac+stutterFrac:
-			faultKind[i] = 1
-			res.InjectedStutter++
-		}
-	}
-	if p.Rebalance {
-		// Each disk's predicted event count: two completions per tick at
-		// full rate, plus the injection event — a failed disk stops at the
-		// fault tick, a stuttered one drops to a quarter rate (one
-		// completion every two ticks). RecommendPlacement only needs the
-		// ratios.
-		loads := make([]sim.Load, p.Disks)
-		for i, id := range ids {
-			cost := 2 * float64(p.Ticks)
-			switch faultKind[i] {
-			case 2:
-				cost = 2*float64(faultTick) + 1
-			case 1:
-				cost = 2*float64(faultTick) + 0.5*float64(p.Ticks-faultTick) + 1
-			}
-			loads[i] = sim.Load{ID: id, Cost: cost}
-		}
-		ss.SetPlacement(sim.RecommendPlacement(loads, p.Shards))
-	}
 	p.Telemetry.attachSharded(ss)
 
+	// Shard s of k owns the contiguous disk block [s·n/k, (s+1)·n/k) — the
+	// split the barrier sweep's worker chunks use, so with as many sweep
+	// workers as shards each chunk covers exactly the disks one shard just
+	// sampled. Every disk draws its base rate and fault from its own
+	// stream, forked by disk identity, so the draws do not depend on the
+	// split either. faultKind: 0 healthy, 1 stutter, 2 fail.
+	root := sim.NewRNG(p.Seed).Fork("e32")
+	ids := make([]string, p.Disks)
+	faultKind := make([]uint8, p.Disks)
 	disks := make([]fleetDisk, p.Disks)
 	// flagTick is the sweep a faulty disk was first flagged at, -1 until
 	// then.
 	flagTick := make([]int32, p.Disks)
-	byShard := make([][]int32, p.Shards)
-	for i := range disks {
-		flagTick[i] = -1
-		shard := ss.ShardFor(ids[i])
-		byShard[shard] = append(byShard[shard], int32(i))
-		sh := ss.Shard(shard)
-		rate := rates[i]
-		d := &disks[i]
-		d.st = sim.NewStation(sh, ids[i], rate)
-		if tr := ss.ShardTracer(shard); tr != nil {
-			d.st.SetTracer(tr)
-		}
-		// Two completions per tick: the closed loop resubmits the same
-		// request object, so steady state allocates nothing.
-		d.req.Size = rate * 0.5
-		d.req.OnDone = func(r *sim.Request) {
-			d.done += r.Size
-			d.st.Submit(r)
-		}
-		d.st.Submit(&d.req)
-		switch faultKind[i] {
-		case 2:
-			sh.At(float64(faultTick)+0.5, d.st.Fail)
-		case 1:
-			sh.At(float64(faultTick)+0.5, func() { d.st.SetMultiplier(stutterMult) })
-		}
-	}
-
-	// Per-shard samplers: at every tick each shard snapshots its own
-	// disks' work counters into samples — shard-local writes only, so the
-	// parallel window needs no synchronization.
 	samples := make([]float64, p.Disks)
+	res := FleetResult{}
 	for shard := 0; shard < p.Shards; shard++ {
-		local := byShard[shard]
 		sh := ss.Shard(shard)
+		tr := ss.ShardTracer(shard)
+		lo, hi := p.Disks*shard/p.Shards, p.Disks*(shard+1)/p.Shards
+		for i := lo; i < hi; i++ {
+			ids[i] = fmt.Sprintf("d%07d", i)
+			rng := root.Fork(ids[i])
+			rate := 80 + 40*rng.Float64()
+			flagTick[i] = -1
+			d := &disks[i]
+			d.st = sim.NewStation(sh, ids[i], rate)
+			if tr != nil {
+				d.st.SetTracer(tr)
+			}
+			// Two completions per tick: the closed loop resubmits the same
+			// request object, so steady state allocates nothing.
+			d.req.Size = rate * 0.5
+			d.req.OnDone = func(r *sim.Request) {
+				d.done += r.Size
+				d.st.Submit(r)
+			}
+			d.st.Submit(&d.req)
+			switch u := rng.Float64(); {
+			case u < failFrac:
+				faultKind[i] = 2
+				res.InjectedFail++
+				sh.At(float64(faultTick)+0.5, d.st.Fail)
+			case u < failFrac+stutterFrac:
+				faultKind[i] = 1
+				res.InjectedStutter++
+				sh.At(float64(faultTick)+0.5, func() { d.st.SetMultiplier(stutterMult) })
+			}
+		}
+
+		// The shard's sampler: at every tick it snapshots its own disks'
+		// work counters into samples — shard-local writes only, so the
+		// parallel window needs no synchronization.
 		var sample func()
 		sample = func() {
-			for _, i := range local {
+			for i := lo; i < hi; i++ {
 				d := &disks[i]
 				cum := d.done + d.st.ServedInCurrent()
 				samples[i] = (cum - d.prev) / fleetTick

@@ -81,7 +81,7 @@ func runE01(cfg Config) *Table {
 		"design", "measured", "paper-predicted")
 	tel := cfg.telemetry()
 	t.Telemetry = tel
-	res := runStriperT(tel, "static-equal", scenarioRates(), blocks, raid.StaticEqual{}, nil)
+	res := runStriper(tel, "static-equal", scenarioRates(), blocks, raid.StaticEqual{}, nil)
 	predicted := float64(scenarioPairs) * scenarioSmall
 	t.AddRow("static-equal (fail-stop)", mb(res.Throughput), mb(predicted))
 	t.SetMetric("throughput", res.Throughput)
@@ -101,7 +101,7 @@ func runE02(cfg Config) *Table {
 	t.Telemetry = tel
 
 	// Static fault: gauging sees the slow pair and compensates.
-	res := runStriperT(tel, "gauged-static", scenarioRates(), blocks, raid.GaugedProportional{ProbeBlocks: 32}, nil)
+	res := runStriper(tel, "gauged-static", scenarioRates(), blocks, raid.GaugedProportional{ProbeBlocks: 32}, nil)
 	predicted := float64(scenarioPairs-1)*scenarioB + scenarioSmall
 	t.AddRow("static slow pair", "gauged-proportional", mb(res.Throughput), mb(predicted))
 	t.SetMetric("throughput_static", res.Throughput)
@@ -120,7 +120,7 @@ func runE02(cfg Config) *Table {
 		faults.StepAt{At: 2, Factor: scenarioSmall / scenarioB}.
 			Install(s, a.Pairs()[0].A.Composite())
 	}
-	resDrift := runStriperT(tel, "gauged-drift", healthy, blocks, raid.GaugedProportional{ProbeBlocks: 32}, drift)
+	resDrift := runStriper(tel, "gauged-drift", healthy, blocks, raid.GaugedProportional{ProbeBlocks: 32}, drift)
 	t.AddRow("drift after gauge", "gauged-proportional", mb(resDrift.Throughput), "between N*b and (N-1)B+b")
 	t.SetMetric("throughput_drift", resDrift.Throughput)
 	return t
@@ -136,7 +136,7 @@ func runE03(cfg Config) *Table {
 	t.Telemetry = tel
 
 	available := float64(scenarioPairs-1)*scenarioB + scenarioSmall
-	res := runStriperT(tel, "adaptive-static", scenarioRates(), blocks, raid.AdaptivePull{Depth: 2}, nil)
+	res := runStriper(tel, "adaptive-static", scenarioRates(), blocks, raid.AdaptivePull{Depth: 2}, nil)
 	t.AddRow("static slow pair", "adaptive-pull", mb(res.Throughput), mb(available))
 	t.SetMetric("throughput_static", res.Throughput)
 	t.SetMetric("available_static", available)
@@ -153,9 +153,9 @@ func runE03(cfg Config) *Table {
 	}
 	// Average available bandwidth: pair 0 delivers 0.25 + 0.75*0.05 of B.
 	availDyn := float64(scenarioPairs-1)*scenarioB + 0.2875*scenarioB
-	resStatic := runStriperT(tel, "static-oscillating", healthy, blocks, raid.StaticEqual{}, oscillate)
-	resAdapt := runStriperT(tel, "adaptive-oscillating", healthy, blocks, raid.AdaptivePull{Depth: 2}, oscillate)
-	resWave := runStriperT(tel, "wave-oscillating", healthy, blocks, raid.AdaptiveWave{Interval: 0.25, WaveBlocks: 400}, oscillate)
+	resStatic := runStriper(tel, "static-oscillating", healthy, blocks, raid.StaticEqual{}, oscillate)
+	resAdapt := runStriper(tel, "adaptive-oscillating", healthy, blocks, raid.AdaptivePull{Depth: 2}, oscillate)
+	resWave := runStriper(tel, "wave-oscillating", healthy, blocks, raid.AdaptiveWave{Interval: 0.25, WaveBlocks: 400}, oscillate)
 	t.AddRow("oscillating pair", "static-equal", mb(resStatic.Throughput), mb(availDyn))
 	t.AddRow("oscillating pair", "adaptive-pull", mb(resAdapt.Throughput), mb(availDyn))
 	t.AddRow("oscillating pair", "adaptive-wave", mb(resWave.Throughput), mb(availDyn))
@@ -176,7 +176,7 @@ func runE04(cfg Config) *Table {
 	t.Telemetry = tel
 	for _, deficit := range []float64{0, 0.1, 0.25, 0.5, 0.75} {
 		rates := []float64{scenarioB, scenarioB, scenarioB, scenarioB * (1 - deficit)}
-		res := runStriperT(tel, fmt.Sprintf("deficit-%.0f%%", deficit*100), rates, blocks, raid.StaticEqual{}, nil)
+		res := runStriper(tel, fmt.Sprintf("deficit-%.0f%%", deficit*100), rates, blocks, raid.StaticEqual{}, nil)
 		predicted := 4 * scenarioB * (1 - deficit)
 		t.AddRow(fmt.Sprintf("%.0f%%", deficit*100), mb(res.Throughput), mb(predicted))
 		t.SetMetric(fmt.Sprintf("throughput_%.0f", deficit*100), res.Throughput)
@@ -195,8 +195,8 @@ func runE21(cfg Config) *Table {
 	t.Telemetry = tel
 	rates := []float64{0.5e6, 0.5e6, 2e6, 2e6}
 	ideal := 5e6
-	static := runStriperT(tel, "static-equal", rates, blocks, raid.StaticEqual{}, nil)
-	adaptive := runStriperT(tel, "adaptive-pull", rates, blocks, raid.AdaptivePull{Depth: 2}, nil)
+	static := runStriper(tel, "static-equal", rates, blocks, raid.StaticEqual{}, nil)
+	adaptive := runStriper(tel, "adaptive-pull", rates, blocks, raid.AdaptivePull{Depth: 2}, nil)
 	t.AddRow("static-equal (fail-stop)", mb(static.Throughput), mb(ideal))
 	t.AddRow("adaptive-pull (fail-stutter)", mb(adaptive.Throughput), mb(ideal))
 	t.SetMetric("throughput_static", static.Throughput)
@@ -222,7 +222,7 @@ func runA2(cfg Config) *Table {
 	tel := cfg.telemetry()
 	t.Telemetry = tel
 	for _, interval := range []float64{0.1, 0.25, 0.5, 1, 2, 4} {
-		res := runStriperT(tel, fmt.Sprintf("wave-%.2gs", interval), healthy, blocks, raid.AdaptiveWave{Interval: interval, WaveBlocks: 400}, oscillate)
+		res := runStriper(tel, fmt.Sprintf("wave-%.2gs", interval), healthy, blocks, raid.AdaptiveWave{Interval: interval, WaveBlocks: 400}, oscillate)
 		t.AddRow(fmt.Sprintf("%.2g s", interval), mb(res.Throughput),
 			fmt.Sprintf("%d", res.Bookkeeping), fmt.Sprintf("%d", res.Reissued))
 		t.SetMetric(fmt.Sprintf("throughput_%.2g", interval), res.Throughput)

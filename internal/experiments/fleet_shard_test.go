@@ -139,6 +139,26 @@ func TestFleetScenarioShardCountInvariant(t *testing.T) {
 	}
 }
 
+// TestFleetScenarioTinyFleetShardInvariant checks the block split at its
+// edges: an empty fleet, and a fleet smaller than the shard count, where
+// most shards own no disk yet still run a sampler every tick.
+func TestFleetScenarioTinyFleetShardInvariant(t *testing.T) {
+	for _, disks := range []int{0, 3} {
+		ref := RunFleetScenario(FleetParams{Disks: disks, Shards: 1, Seed: 42})
+		if len(ref.FlaggedPerSweep) != 12 {
+			t.Fatalf("disks=%d: %d sweeps, want 12", disks, len(ref.FlaggedPerSweep))
+		}
+		if (ref.Events == 0) != (disks == 0) {
+			t.Fatalf("disks=%d: %d disk events", disks, ref.Events)
+		}
+		got := RunFleetScenario(FleetParams{Disks: disks, Shards: 8, Seed: 42})
+		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", ref) {
+			t.Errorf("disks=%d: fleet result differs at shards=8:\n shards=1: %+v\n shards=8: %+v",
+				disks, ref, got)
+		}
+	}
+}
+
 // TestRunAllShardCountInvariant extends the determinism suite across the
 // shard axis: the full registry's tables and metrics artifacts must be
 // byte-identical for -shards=1 and -shards=8 at the reference seed.

@@ -76,18 +76,3 @@ func TestFleetScenarioSweepWorkerInvariant(t *testing.T) {
 		}
 	}
 }
-
-// TestFleetRebalanceInvariant checks that load-balanced placement is
-// observationally invisible: the rebalanced run must produce the exact
-// result of the hashed-placement run — placement is just another
-// partition under the kernel's determinism protocol.
-func TestFleetRebalanceInvariant(t *testing.T) {
-	for _, seed := range []uint64{42, 1337} {
-		ref := RunFleetScenario(FleetParams{Disks: 2048, Shards: 4, Seed: seed})
-		got := RunFleetScenario(FleetParams{Disks: 2048, Shards: 4, Seed: seed, Rebalance: true})
-		if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", ref) {
-			t.Errorf("seed %d: rebalanced fleet result differs:\n hashed:     %+v\n rebalanced: %+v",
-				seed, ref, got)
-		}
-	}
-}

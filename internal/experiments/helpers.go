@@ -40,22 +40,6 @@ func buildArray(s *sim.Simulator, rates []float64) *raid.Array {
 	return raid.NewArray(s, pairs, blockBytes)
 }
 
-// runStriper builds a fresh array from rates, applies setup (may be nil)
-// for fault injection, runs the striper over the given number of blocks,
-// and returns the result.
-func runStriper(rates []float64, blocks int64, st raid.Striper, setup func(*sim.Simulator, *raid.Array)) raid.Result {
-	s := sim.New()
-	a := buildArray(s, rates)
-	if setup != nil {
-		setup(s, a)
-	}
-	res, err := raid.WriteAndMeasure(s, a, st, blocks)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: striper run failed: %v", err))
-	}
-	return res
-}
-
 // scale picks between the quick and full parameter.
 func scale(cfg Config, quick, full int64) int64 {
 	if cfg.Quick {

@@ -100,6 +100,9 @@ func (tel *Telemetry) attachProfileSharded(ss *sim.ShardedSimulator, run string)
 // experiment, e.g. "3-adaptive-pull". Metric labels and span layout use
 // it to keep sub-runs distinguishable.
 func (tel *Telemetry) nextRun(name string) string {
+	if tel == nil {
+		return name
+	}
 	tel.runSeq++
 	return fmt.Sprintf("%d-%s", tel.runSeq, name)
 }
@@ -194,22 +197,23 @@ func (tel *Telemetry) watchPairs(s *sim.Simulator, a *raid.Array, run string) {
 	s.At(s.Now()+pairRateInterval, tick)
 }
 
-// runStriperT is runStriper with telemetry: the array's causal spans go
-// to tel.Tracer, per-pair rates are sampled into tel.Metrics, and
-// summary counters are recorded when the job completes. A nil tel is
-// exactly runStriper.
-func runStriperT(tel *Telemetry, name string, rates []float64, blocks int64,
+// runStriper builds a fresh array from rates, applies setup (may be nil)
+// for fault injection, runs the striper over the given number of blocks,
+// and returns the result. With telemetry, the array's causal spans go to
+// tel.Tracer, per-pair rates are sampled into tel.Metrics, and summary
+// counters are recorded when the job completes; a nil tel skips every
+// telemetry step.
+func runStriper(tel *Telemetry, name string, rates []float64, blocks int64,
 	st raid.Striper, setup func(*sim.Simulator, *raid.Array)) raid.Result {
-	if tel == nil {
-		return runStriper(rates, blocks, st, setup)
-	}
 	s := sim.New()
 	a := buildArray(s, rates)
 	if setup != nil {
 		setup(s, a)
 	}
 	run := tel.nextRun(name)
-	a.SetTracer(tel.Tracer)
+	if tel != nil {
+		a.SetTracer(tel.Tracer)
+	}
 	tel.attachProfile(s, run)
 	tel.watchPairs(s, a, run)
 	res, err := raid.WriteAndMeasure(s, a, st, blocks)
@@ -217,7 +221,7 @@ func runStriperT(tel *Telemetry, name string, rates []float64, blocks int64,
 		panic(fmt.Sprintf("experiments: striper run failed: %v", err))
 	}
 	tel.endRun(s)
-	if tel.Metrics != nil {
+	if tel != nil && tel.Metrics != nil {
 		tel.Metrics.Counter("blocks", trace.L("run", run)).Add(uint64(res.Blocks))
 		tel.Metrics.Counter("reissued", trace.L("run", run)).Add(uint64(res.Reissued))
 		tel.Metrics.Counter("bookkeeping", trace.L("run", run)).Add(uint64(res.Bookkeeping))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"failstutter/internal/sim"
 	"failstutter/internal/trace"
 )
 
@@ -14,7 +15,7 @@ const BarrierSchema = "fstutter-barrier/1"
 // BarrierRun is one sharded-kernel run's barrier cost profile: how many
 // safe windows the run took, how much work they held, how much of that
 // work crossed shards, and how evenly it spread. Everything here is
-// byte-deterministic for a fixed seed and shard count except the two
+// byte-deterministic for a fixed seed and shard count except the
 // nanosecond fields, which are wall-clock and excluded from the JSON
 // artifact.
 type BarrierRun struct {
@@ -23,36 +24,20 @@ type BarrierRun struct {
 	Run string
 	// Shards is the kernel's shard count.
 	Shards int
-	// Windows is the number of safe windows the run executed; Fired is
-	// the events executed inside them.
-	Windows uint64
-	Fired   uint64
-	// Delivered is the number of cross-shard events carried over a
-	// barrier; Delivered/Fired is the cross-shard fraction of the
-	// workload.
-	Delivered uint64
-	// SoloWindows counts windows in which at most one shard had eligible
-	// work — windows with zero parallelism to harvest. (Not the same as
-	// the windows that ran inline: the kernel also runs multi-shard
-	// windows inline when they are too small to pay for a fork.)
-	SoloWindows uint64
-	// MaxWindowFired is the largest single-window event count.
-	MaxWindowFired uint64
+	// BarrierStats is the kernel's own accounting: windows, fired,
+	// delivered, solo and largest windows, and the wall-clock split
+	// between the window region (WindowNanos) and the barrier — its
+	// cross-shard merge (DeliverNanos, the merge wall) and its hook
+	// (SweepNanos, for the fleet the parallel PeerSet sweep).
+	sim.BarrierStats
 	// PerShardFired is each shard's executed-event count — the imbalance
 	// axis: a shard far above the mean is the parallel region's critical
 	// path.
 	PerShardFired []uint64
-	// WindowNanos and BarrierNanos split the run's wall-clock between
-	// the parallel window region and the single-threaded barrier.
-	// DeliverNanos and SweepNanos split BarrierNanos further: the
-	// cross-shard merge-and-push (the merge wall) versus the barrier hook
-	// (the sweep wall — for the fleet, the parallel PeerSet sweep).
-	// Wall-clock: nondeterministic, text report only.
-	WindowNanos  int64
-	BarrierNanos int64
-	DeliverNanos int64
-	SweepNanos   int64
 }
+
+// barrierNanos is the barrier's wall-clock: its merge plus its hook.
+func (r *BarrierRun) barrierNanos() int64 { return r.DeliverNanos + r.SweepNanos }
 
 // EventsPerWindow is the mean window payload — the quantity the batched
 // delivery protocol exists to amortize the barrier handshake over.
@@ -94,29 +79,29 @@ func (r *BarrierRun) Imbalance() float64 {
 // BarrierFrac is the single-threaded barrier's share of the measured
 // wall-clock; zero when the run carried no timing.
 func (r *BarrierRun) BarrierFrac() float64 {
-	total := r.WindowNanos + r.BarrierNanos
+	total := r.WindowNanos + r.barrierNanos()
 	if total == 0 {
 		return 0
 	}
-	return float64(r.BarrierNanos) / float64(total)
+	return float64(r.barrierNanos()) / float64(total)
 }
 
 // DeliverFrac is the cross-shard merge wall's share of the barrier time;
 // SweepFrac is the barrier hook's (the fleet sweep's). Zero when the run
 // predates the split or carried no timing.
 func (r *BarrierRun) DeliverFrac() float64 {
-	if r.BarrierNanos == 0 {
+	if r.barrierNanos() == 0 {
 		return 0
 	}
-	return float64(r.DeliverNanos) / float64(r.BarrierNanos)
+	return float64(r.DeliverNanos) / float64(r.barrierNanos())
 }
 
 // SweepFrac is the barrier hook's share of the barrier wall-clock.
 func (r *BarrierRun) SweepFrac() float64 {
-	if r.BarrierNanos == 0 {
+	if r.barrierNanos() == 0 {
 		return 0
 	}
-	return float64(r.SweepNanos) / float64(r.BarrierNanos)
+	return float64(r.SweepNanos) / float64(r.barrierNanos())
 }
 
 // BarrierReport is one experiment's barrier cost profile across its
@@ -196,14 +181,14 @@ func (r *BarrierReport) WriteText(w io.Writer) error {
 			solo = float64(run.SoloWindows) / float64(run.Windows)
 		}
 		barrier, merge, sweep := "-", "-", "-"
-		if run.WindowNanos+run.BarrierNanos > 0 {
+		if run.WindowNanos+run.barrierNanos() > 0 {
 			barrier = fmt.Sprintf("%.1f%%", 100*run.BarrierFrac())
 		}
 		// merge% and sweep% are shares *of the barrier wall*, not of the
 		// whole run: together they show which half of the handshake —
 		// cross-shard delivery or the hook's fleet sweep — the barrier
 		// spends its time in.
-		if run.BarrierNanos > 0 {
+		if run.barrierNanos() > 0 {
 			merge = fmt.Sprintf("%.1f%%", 100*run.DeliverFrac())
 			sweep = fmt.Sprintf("%.1f%%", 100*run.SweepFrac())
 		}

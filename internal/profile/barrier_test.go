@@ -3,6 +3,8 @@ package profile
 import (
 	"strings"
 	"testing"
+
+	"failstutter/internal/sim"
 )
 
 func barrierFixture() *BarrierReport {
@@ -10,14 +12,18 @@ func barrierFixture() *BarrierReport {
 		Experiment: "E99",
 		Runs: []BarrierRun{
 			{
-				Run: "balanced", Shards: 4, Windows: 10, Fired: 400, Delivered: 100,
-				SoloWindows: 1, MaxWindowFired: 80,
+				Run: "balanced", Shards: 4,
+				BarrierStats: sim.BarrierStats{
+					Windows: 10, Fired: 400, Delivered: 100, SoloWindows: 1, MaxWindowFired: 80,
+					WindowNanos: 900, DeliverNanos: 30, SweepNanos: 70,
+				},
 				PerShardFired: []uint64{100, 100, 100, 100},
-				WindowNanos:   900, BarrierNanos: 100,
 			},
 			{
-				Run: "skewed", Shards: 2, Windows: 5, Fired: 100, Delivered: 0,
-				SoloWindows: 5, MaxWindowFired: 40,
+				Run: "skewed", Shards: 2,
+				BarrierStats: sim.BarrierStats{
+					Windows: 5, Fired: 100, Delivered: 0, SoloWindows: 5, MaxWindowFired: 40,
+				},
 				PerShardFired: []uint64{90, 10},
 			},
 		},
@@ -38,6 +44,12 @@ func TestBarrierRunDerivedMetrics(t *testing.T) {
 	}
 	if got := b.BarrierFrac(); got != 0.1 {
 		t.Errorf("barrier fraction %v, want 0.1", got)
+	}
+	if got, want := b.DeliverFrac(), 0.3; got != want {
+		t.Errorf("merge share of the barrier %v, want %v", got, want)
+	}
+	if got, want := b.SweepFrac(), 0.7; got != want {
+		t.Errorf("sweep share of the barrier %v, want %v", got, want)
 	}
 	s := &r.Runs[1]
 	if got := s.Imbalance(); got != 1.8 {
@@ -63,7 +75,7 @@ func TestBarrierReportJSONDeterministic(t *testing.T) {
 	}
 	jittered := barrierFixture()
 	jittered.Runs[0].WindowNanos = 123456
-	jittered.Runs[0].BarrierNanos = 654321
+	jittered.Runs[0].DeliverNanos = 654321
 	if err := jittered.WriteJSON(&s2); err != nil {
 		t.Fatal(err)
 	}

@@ -123,7 +123,9 @@ func PerfDiff(oldA, newA *BenchArtifact, cfg PerfDiffConfig) *PerfDiffReport {
 		ob, hasOld := oldBy[name]
 		nb, hasNew := newBy[name]
 		switch {
-		case !hasOld:
+		case !hasOld || (len(ob.Samples) == 0 && hasNew):
+			// No baseline to regress against: a fresh benchmark, or an
+			// old entry that holds no samples.
 			rep.Added++
 			rep.Deltas = append(rep.Deltas, BenchDelta{
 				Name: name, Status: DiffAdded, NewMedian: nb.Median(),

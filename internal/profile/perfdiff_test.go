@@ -188,6 +188,29 @@ func TestPerfDiffAddedInformational(t *testing.T) {
 	}
 }
 
+// TestPerfDiffEmptyBaselineIsAdded: an old entry with no samples (what
+// `fstutter bench -samples 0` once wrote) gives no baseline to gauge, so
+// the benchmark reads as added, never reaching the detector, while an
+// empty old entry that vanished from the new artifact is still missing.
+func TestPerfDiffEmptyBaselineIsAdded(t *testing.T) {
+	old := art(
+		Bench{Name: "BenchmarkEmpty", Unit: "ns/op", Samples: []float64{}},
+		Bench{Name: "BenchmarkEmptyGone", Unit: "ns/op"},
+	)
+	now := art(Bench{Name: "BenchmarkEmpty", Unit: "ns/op", Samples: samples(100, 5)})
+	rep := PerfDiff(old, now, PerfDiffConfig{})
+	got := map[string]string{}
+	for _, d := range rep.Deltas {
+		got[d.Name] = d.Status
+	}
+	if got["BenchmarkEmpty"] != DiffAdded || rep.Added != 1 {
+		t.Fatalf("empty baseline: statuses %v, Added %d; want BenchmarkEmpty added", got, rep.Added)
+	}
+	if got["BenchmarkEmptyGone"] != DiffMissing {
+		t.Fatalf("vanished empty entry status %q, want missing", got["BenchmarkEmptyGone"])
+	}
+}
+
 // TestPerfDiffRateUnits covers benchmarks whose unit is already a rate
 // (events/s): samples pass straight to the detectors and the ratio is
 // new-over-old, so halved throughput regresses and doubled improves —

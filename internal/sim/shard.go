@@ -87,10 +87,6 @@ type ShardedSimulator struct {
 	// pending events stay queued, exactly as Simulator.Stop leaves them.
 	stopped bool
 
-	// placement, when non-nil, overrides the identity hash for the listed
-	// stations — the construction-time rebalancing plan (SetPlacement).
-	placement map[string]int
-
 	// barrierWorkers and pool hold the reusable barrier worker pool
 	// (BarrierPool), which fleet-wide barrier hooks fan sweeps across.
 	barrierWorkers int
@@ -145,14 +141,10 @@ func (ss *ShardedSimulator) Lookahead() Duration { return ss.lookahead }
 // shard i's events must touch only state owned by shard i.
 func (ss *ShardedSimulator) Shard(i int) *Simulator { return ss.shards[i] }
 
-// ShardFor assigns a component key to a shard: the placement plan's
-// entry when one was installed (SetPlacement), else a stable FNV-1a hash
-// of the identity — never of execution order, so a component lands on
-// the same shard in every run at a given shard count and plan.
+// ShardFor assigns a component key to a shard by a stable FNV-1a hash of
+// the identity — never of execution order, so a component lands on the
+// same shard in every run at a given shard count.
 func (ss *ShardedSimulator) ShardFor(key string) int {
-	if shard, ok := ss.placement[key]; ok {
-		return shard
-	}
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	return int(h.Sum64() % uint64(len(ss.shards)))
@@ -330,9 +322,7 @@ func (ss *ShardedSimulator) RunUntil(limit Time) {
 			ss.barrier(h)
 		}
 		if prof != nil {
-			end := time.Now()
-			prof.SweepNanos += end.Sub(delivered).Nanoseconds()
-			prof.BarrierNanos += end.Sub(wall).Nanoseconds()
+			prof.SweepNanos += time.Since(delivered).Nanoseconds()
 		}
 	}
 	if !ss.stopped && !math.IsInf(limit, 1) {
@@ -515,15 +505,13 @@ type BarrierStats struct {
 	ForkedWindows uint64
 	// MaxWindowFired is the largest single-window event count.
 	MaxWindowFired uint64
-	// WindowNanos and BarrierNanos split the run's wall-clock between the
-	// parallel window region and the barrier (delivery + barrier hook).
-	// DeliverNanos and SweepNanos split BarrierNanos further: the
-	// cross-shard sort-and-schedule (the merge wall) versus the barrier hook
-	// (the sweep wall — where the fleet's detection sweep runs, the part
-	// BarrierParallelism exists to shrink). BarrierNanos is always their
-	// sum. Wall-clock: nondeterministic across runs and hosts.
+	// WindowNanos is the run's wall-clock in the parallel window region;
+	// DeliverNanos and SweepNanos split the barrier's: the cross-shard
+	// sort-and-schedule (the merge wall) versus the barrier hook (the
+	// sweep wall — where the fleet's detection sweep runs, the part
+	// BarrierParallelism exists to shrink). Wall-clock: nondeterministic
+	// across runs and hosts.
 	WindowNanos  int64
-	BarrierNanos int64
 	DeliverNanos int64
 	SweepNanos   int64
 }

@@ -13,8 +13,6 @@ import (
 type Request struct {
 	// Size is the amount of work, in station units.
 	Size float64
-	// Tag is an opaque caller label carried through to completion.
-	Tag any
 	// OnDone, if non-nil, runs when the request finishes service.
 	OnDone func(*Request)
 	// ParentSpan optionally links the spans this request generates to a
