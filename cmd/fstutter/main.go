@@ -23,8 +23,6 @@
 //	                  are byte-identical at any fan-out
 //	-shards N         shard count for sharded-kernel experiments (0 = one
 //	                  per core); results are byte-identical at any value
-//	-sweep-workers N  barrier sweep worker-pool size for fleet experiments
-//	                  (0 = GOMAXPROCS); results are byte-identical at any value
 //	-trace-out PATH   write Chrome trace-event JSON (open in Perfetto or
 //	                  chrome://tracing); a directory gets <ID>.trace.json
 //	                  per experiment, a .json path is used verbatim when
@@ -64,8 +62,6 @@ func main() {
 		"worker goroutines for `all` (1 = serial; tables are identical either way)")
 	shards := flag.Int("shards", 0,
 		"shard count for experiments on the sharded kernel (0 = one per core; results are identical at any value)")
-	sweepWorkers := flag.Int("sweep-workers", 0,
-		"barrier sweep worker-pool size for fleet experiments (0 = GOMAXPROCS; results are identical at any value)")
 	traceOut := flag.String("trace-out", "", "write Chrome trace-event JSON to this directory (or .json file for a single experiment)")
 	metricsOut := flag.String("metrics-out", "", "write metrics JSON and CSV dumps to this directory")
 	audit := flag.Bool("audit", false, "print the verdict audit timeline per experiment")
@@ -93,11 +89,10 @@ func main() {
 	asCSV = *format == "csv"
 	cfg := experiments.Config{
 		Seed: *seed, Quick: *quick,
-		Trace:        *traceOut != "",
-		Audit:        *audit,
-		Metrics:      *metricsOut != "",
-		Shards:       *shards,
-		SweepWorkers: *sweepWorkers,
+		Trace:   *traceOut != "",
+		Audit:   *audit,
+		Metrics: *metricsOut != "",
+		Shards:  *shards,
 	}
 	sink := artifactSink{traceOut: *traceOut, metricsOut: *metricsOut, audit: *audit}
 
@@ -336,8 +331,8 @@ usage:
   fstutter [flags] all
   fstutter [flags] profile <id>...
   fstutter [flags] oracle <id>...
-  fstutter [flags] bench        (exits 2 if GOMAXPROCS, -shards or
-                                -sweep-workers exceeds the CPU count)
+  fstutter [flags] bench        (exits 2 if GOMAXPROCS or -shards
+                                exceeds the CPU count)
   fstutter [flags] perfdiff <old.json> <new.json>
 
 flags (before or after the subcommand):
@@ -347,8 +342,6 @@ flags (before or after the subcommand):
   -parallel N       worker goroutines for 'all' (default GOMAXPROCS)
   -shards N         shard count for sharded-kernel experiments (default:
                     one per core; tables are identical at any value)
-  -sweep-workers N  barrier sweep worker-pool size for fleet experiments
-                    (default: GOMAXPROCS; tables are identical at any value)
   -trace-out PATH   Chrome trace-event JSON: directory for <ID>.trace.json,
                     or a .json file when running a single experiment
   -metrics-out DIR  metrics registry dumps: <ID>.metrics.json + .csv

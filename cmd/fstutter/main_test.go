@@ -174,8 +174,8 @@ func TestCLIFlagsAfterSubcommand(t *testing.T) {
 }
 
 // TestBenchRefusesOversubscription: `fstutter bench` must not write a
-// baseline in which more threads, shards or sweep workers than the host
-// has CPUs contend for cores. It exits 2 with a one-line reason, before
+// baseline in which more threads or shards than the host has CPUs
+// contend for cores. It exits 2 with a one-line reason, before
 // measuring anything, and leaves no artifact behind.
 func TestBenchRefusesOversubscription(t *testing.T) {
 	n := runtime.NumCPU()
@@ -189,7 +189,6 @@ func TestBenchRefusesOversubscription(t *testing.T) {
 	}{
 		{"gomaxprocs", []string{"GOMAXPROCS=" + over}, nil, "gomaxprocs " + over + " exceeds numcpu"},
 		{"shards", []string{fits}, []string{"-shards", over}, "-shards " + over + " exceeds numcpu"},
-		{"sweep-workers", []string{fits}, []string{"-sweep-workers", over}, "-sweep-workers " + over + " exceeds numcpu"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "BENCH.json")

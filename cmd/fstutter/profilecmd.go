@@ -152,26 +152,16 @@ var benchSuites = []struct {
 // run: the datacenter configuration the sharded kernel exists for.
 const megaFleetDisks = 1 << 20
 
-// resolveWorkers maps the SweepWorkers zero default to its effective
-// value for display.
-func resolveWorkers(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
 // oversubscription returns why a bench run would time threads contending
-// for cores instead of the implementation — more Go threads, shards or
-// sweep workers than the host has CPUs — or "" when none would.
-func oversubscription(gomaxprocs, numcpu, shards, sweepWorkers int) string {
+// for cores instead of the implementation — more Go threads or shards
+// than the host has CPUs — or "" when none would. The barrier sweep is as
+// wide as the kernel's shards, so the shard check covers it too.
+func oversubscription(gomaxprocs, numcpu, shards int) string {
 	switch {
 	case gomaxprocs > numcpu:
 		return fmt.Sprintf("gomaxprocs %d exceeds numcpu %d", gomaxprocs, numcpu)
 	case shards > numcpu:
 		return fmt.Sprintf("-shards %d exceeds numcpu %d", shards, numcpu)
-	case sweepWorkers > numcpu:
-		return fmt.Sprintf("-sweep-workers %d exceeds numcpu %d", sweepWorkers, numcpu)
 	}
 	return ""
 }
@@ -191,7 +181,7 @@ func oversubscription(gomaxprocs, numcpu, shards, sweepWorkers int) string {
 //
 // An oversubscribed baseline measures contention, not the code, so
 // cmdBench exits 2 with a one-line reason, before running anything, when
-// GOMAXPROCS, -shards or -sweep-workers exceeds the host's CPU count. It
+// GOMAXPROCS or -shards exceeds the host's CPU count. It
 // exits 2 the same way when -samples is below 1, which would write
 // entries with no samples.
 func cmdBench(cfg experiments.Config, samples int, outPath string) {
@@ -200,11 +190,7 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 		os.Exit(2)
 	}
 	cfg.Quick = true
-	sweepWorkers := cfg.SweepWorkers
-	if sweepWorkers <= 0 {
-		sweepWorkers = runtime.GOMAXPROCS(0)
-	}
-	if reason := oversubscription(runtime.GOMAXPROCS(0), runtime.NumCPU(), cfg.ShardCount(), sweepWorkers); reason != "" {
+	if reason := oversubscription(runtime.GOMAXPROCS(0), runtime.NumCPU(), cfg.ShardCount()); reason != "" {
 		fmt.Fprintf(os.Stderr, "fstutter bench: refusing to write an oversubscribed baseline: %s\n", reason)
 		os.Exit(2)
 	}
@@ -213,7 +199,7 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 		Shards:       cfg.ShardCount(),
 		GoMaxProcs:   runtime.GOMAXPROCS(0),
 		NumCPU:       runtime.NumCPU(),
-		SweepWorkers: sweepWorkers,
+		SweepWorkers: cfg.ShardCount(),
 	}
 	for _, id := range benchTargets {
 		e, err := experiments.Get(id)
@@ -259,36 +245,19 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 		art.Benchmarks = append(art.Benchmarks, b)
 	}
 
-	fleetSamples := samples
-	if fleetSamples > 2 {
-		fleetSamples = 2
-	}
-	type fleetConfig struct {
-		name    string
-		shards  int
-		workers int
-		traced  bool
-		samples int
-	}
-	configs := []fleetConfig{
-		// The headline pair: fully serial (one shard, one sweep worker)
-		// versus the configured parallelism.
-		{name: "fleet/1M/serial", shards: 1, workers: 1, samples: fleetSamples},
-		{name: "fleet/1M/sharded", shards: cfg.ShardCount(), workers: cfg.SweepWorkers,
-			samples: fleetSamples},
+	fleetSamples := min(samples, 2)
+	configs := []struct {
+		name   string
+		shards int
+		traced bool
+	}{
+		// The headline pair: fully serial (one shard, so one sweep
+		// worker) versus the configured parallelism.
+		{name: "fleet/1M/serial", shards: 1},
+		{name: "fleet/1M/sharded", shards: cfg.ShardCount()},
 		// The tracing tax at fleet scale: the same sharded configuration
 		// with per-shard collectors and the flight recorder on.
-		{name: "fleet/1M/traced", shards: cfg.ShardCount(), workers: cfg.SweepWorkers,
-			traced: true, samples: fleetSamples},
-	}
-	// The sweep-worker scaling axis: same sharded kernel, barrier pool
-	// doubling from 1 to GOMAXPROCS. One sample each — the axis maps the
-	// scaling curve, it is not a regression baseline.
-	for w := 1; w <= runtime.GOMAXPROCS(0); w *= 2 {
-		configs = append(configs, fleetConfig{
-			name:   fmt.Sprintf("fleet/1M/sharded/w=%d", w),
-			shards: cfg.ShardCount(), workers: w, samples: 1,
-		})
+		{name: "fleet/1M/traced", shards: cfg.ShardCount(), traced: true},
 	}
 	medians := map[string]float64{}
 	for _, c := range configs {
@@ -296,7 +265,7 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 		rates := profile.Bench{Name: c.name + "/events", Unit: "events/s"}
 		bytes := profile.Bench{Name: c.name + "/bytes", Unit: "B/op"}
 		allocs := profile.Bench{Name: c.name + "/allocs", Unit: "allocs/op"}
-		for i := 0; i < c.samples; i++ {
+		for i := 0; i < fleetSamples; i++ {
 			var events uint64
 			res := testing.Benchmark(func(tb *testing.B) {
 				for n := 0; n < tb.N; n++ {
@@ -312,7 +281,7 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 					}
 					r := experiments.RunFleetScenario(experiments.FleetParams{
 						Disks: megaFleetDisks, Shards: c.shards, Seed: cfg.Seed,
-						SweepWorkers: c.workers, Telemetry: tel,
+						Telemetry: tel,
 					})
 					events = r.Events
 				}
@@ -323,8 +292,8 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 			bytes.Samples = append(bytes.Samples, float64(res.AllocedBytesPerOp()))
 			allocs.Samples = append(allocs.Samples, float64(res.AllocsPerOp()))
 		}
-		fmt.Fprintf(os.Stderr, "bench %-24s (%d disks, %d shards, %d sweep workers) median %.4g ns/run, %.3g events/sec, %.4g B/run, %.4g allocs/run\n",
-			b.Name, megaFleetDisks, c.shards, resolveWorkers(c.workers), b.Median(), rates.Median(), bytes.Median(), allocs.Median())
+		fmt.Fprintf(os.Stderr, "bench %-24s (%d disks, %d shards) median %.4g ns/run, %.3g events/sec, %.4g B/run, %.4g allocs/run\n",
+			b.Name, megaFleetDisks, c.shards, b.Median(), rates.Median(), bytes.Median(), allocs.Median())
 		medians[c.name] = b.Median()
 		art.Benchmarks = append(art.Benchmarks, b, rates, bytes, allocs)
 	}

@@ -189,9 +189,6 @@ func (p *Pool) Tracer() *trace.Tracer { return p.tracer }
 // Size returns the number of workers.
 func (p *Pool) Size() int { return len(p.workers) }
 
-// Quantum returns the pool's work-unit quantum.
-func (p *Pool) Quantum() sim.Duration { return p.quantum }
-
 // Hog degrades worker i to the given speed for the given virtual
 // duration, then restores it — the "competing job" interference of the
 // survey's NOW-Sort observation. The restore is a simulator event.

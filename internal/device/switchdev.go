@@ -2,7 +2,6 @@ package device
 
 import (
 	"fmt"
-	"sort"
 
 	"failstutter/internal/faults"
 	"failstutter/internal/sim"
@@ -405,15 +404,4 @@ func (sd *Sender) transmit(m Message) {
 			})
 		})
 	})
-}
-
-// SortedBacklogs returns per-sender backlogs, useful for diagnosing which
-// routes are starved under unfairness.
-func (sw *Switch) SortedBacklogs() []int {
-	out := make([]int, len(sw.sends))
-	for i, sd := range sw.sends {
-		out[i] = sd.Backlog()
-	}
-	sort.Ints(out)
-	return out
 }

@@ -53,9 +53,10 @@ type FleetParams struct {
 	// Ticks is the number of fleet sweeps; faults inject after a third of
 	// them. Zero means the default 12.
 	Ticks int
-	// SweepWorkers sizes the barrier's worker pool: the fleet sweep's
-	// observe and classify phases fan across this many workers. Zero means
-	// GOMAXPROCS. The result is byte-identical at any value.
+	// SweepWorkers is ignored: the barrier sweep fans across one worker
+	// per shard.
+	//
+	// Deprecated: kept only so existing callers that set it still build.
 	SweepWorkers int
 	// Rebalance is ignored: disks are always dealt to shards in
 	// contiguous index blocks.
@@ -127,7 +128,6 @@ func RunFleetScenario(p FleetParams) FleetResult {
 		stutterMult = 0.25
 	)
 	ss := sim.NewSharded(p.Shards, fleetTick)
-	ss.SetBarrierParallelism(p.SweepWorkers)
 	pool := ss.BarrierPool()
 	if p.ObserveBarrier != nil {
 		ss.Profile()
@@ -135,11 +135,12 @@ func RunFleetScenario(p FleetParams) FleetResult {
 	p.Telemetry.attachSharded(ss)
 
 	// Shard s of k owns the contiguous disk block [s·n/k, (s+1)·n/k) — the
-	// split the barrier sweep's worker chunks use, so with as many sweep
-	// workers as shards each chunk covers exactly the disks one shard just
-	// sampled. Every disk draws its base rate and fault from its own
-	// stream, forked by disk identity, so the draws do not depend on the
-	// split either. faultKind: 0 healthy, 1 stutter, 2 fail.
+	// split the barrier sweep's worker chunks use. The kernel's barrier
+	// pool has one worker per shard, so each chunk covers exactly the
+	// disks one shard just sampled. Every disk draws its base rate and
+	// fault from its own stream, forked by disk identity, so the draws do
+	// not depend on the split either. faultKind: 0 healthy, 1 stutter, 2
+	// fail.
 	root := sim.NewRNG(p.Seed).Fork("e32")
 	ids := make([]string, p.Disks)
 	faultKind := make([]uint8, p.Disks)
@@ -313,8 +314,7 @@ func runE32(cfg Config) *Table {
 		}
 		r := RunFleetScenario(FleetParams{
 			Disks: n, Shards: cfg.ShardCount(), Seed: cfg.Seed,
-			SweepWorkers: cfg.SweepWorkers, ObserveBarrier: obs,
-			Telemetry: tel,
+			ObserveBarrier: obs, Telemetry: tel,
 		})
 		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", r.Events),
 			fmt.Sprintf("%d/%d", r.DetectedStutter, r.InjectedStutter),

@@ -36,10 +36,10 @@ type Config struct {
 	// core. Tables and telemetry are byte-identical at any value — the
 	// setting only trades wall-clock for cores.
 	Shards int
-	// SweepWorkers sizes the barrier worker pool experiments fan
-	// fleet-wide sweeps across (E32); 0 means GOMAXPROCS. Like Shards, the
-	// setting only trades wall-clock for cores — output is byte-identical
-	// at any value.
+	// SweepWorkers is ignored: fleet-wide barrier sweeps fan across one
+	// worker per shard.
+	//
+	// Deprecated: kept only so existing callers that set it still build.
 	SweepWorkers int
 	// ObserveBarrier, when non-nil, receives every sharded kernel's
 	// post-run barrier cost profile, tagged with a run label. Setting it

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -19,26 +21,27 @@ func RunAll(cfg Config, parallelism int) []*Table {
 
 // runExperiments fans list across parallelism workers and returns tables
 // positionally aligned with list.
+//
+// A panic in one experiment is recovered on its worker, and the other
+// experiments still run. Once all have finished, the lowest failing
+// index's panic is re-raised on the caller, naming the experiment and
+// seed, with the original stack and a command that reproduces it alone.
 func runExperiments(list []Experiment, cfg Config, parallelism int) []*Table {
-	if parallelism < 1 {
-		parallelism = 1
-	}
 	tables := make([]*Table, len(list))
-	if parallelism == 1 {
-		for i, e := range list {
-			tables[i] = e.Run(cfg)
-		}
-		return tables
-	}
-	workers := parallelism
-	if workers > len(list) {
-		workers = len(list)
+	failures := make([]string, len(list))
+	run := func(n int) {
+		defer func() {
+			if r := recover(); r != nil {
+				failures[n] = experimentPanic(list[n].ID, cfg, r, debug.Stack())
+			}
+		}()
+		tables[n] = list[n].Run(cfg)
 	}
 	// Experiments have very unequal costs, so workers pull the next index
 	// from a shared counter instead of taking fixed slices.
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(max(parallelism, 1), len(list)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -47,10 +50,27 @@ func runExperiments(list []Experiment, cfg Config, parallelism int) []*Table {
 				if n >= len(list) {
 					return
 				}
-				tables[n] = list[n].Run(cfg)
+				run(n)
 			}
 		}()
 	}
 	wg.Wait()
+	for _, msg := range failures {
+		if msg != "" {
+			panic(msg)
+		}
+	}
 	return tables
+}
+
+// experimentPanic formats a panic recovered from experiment id's run: the
+// value, the stack it was raised on, and a last line holding the
+// `fstutter run` command that repeats the run alone.
+func experimentPanic(id string, cfg Config, r any, stack []byte) string {
+	repro := fmt.Sprintf("fstutter run %s -seed %d", id, cfg.Seed)
+	if cfg.Quick {
+		repro += " -quick"
+	}
+	repro += fmt.Sprintf(" -shards %d", cfg.ShardCount())
+	return fmt.Sprintf("experiments: %s (seed %d) panicked: %v\n\n%s\nreproduce: %s", id, cfg.Seed, r, stack, repro)
 }

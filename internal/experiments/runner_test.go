@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -79,6 +82,66 @@ func TestRunAllCoversRegistry(t *testing.T) {
 		}
 		if tables[i].ID != e.ID {
 			t.Fatalf("table %d is %s, want %s (display order must be preserved)", i, tables[i].ID, e.ID)
+		}
+	}
+}
+
+// explodeInExperiment is the panicking fake experiment's body, a named
+// frame the recovered stack must still hold.
+func explodeInExperiment(id string) *Table {
+	panic(fmt.Sprintf("%s broke", id))
+}
+
+// TestRunExperimentsPanicNamesExperiment: a panicking experiment must not
+// kill the process from an anonymous worker. The runner lets every other
+// experiment finish and then re-raises the lowest failing index's panic,
+// naming the experiment and seed, with the original stack and a
+// reproducer as the last line.
+func TestRunExperimentsPanicNamesExperiment(t *testing.T) {
+	for _, parallelism := range []int{1, 4} {
+		var ran atomic.Int64
+		var list []Experiment
+		for i := 0; i < 6; i++ {
+			id := fmt.Sprintf("X%02d", i)
+			run := func(Config) *Table {
+				ran.Add(1)
+				return NewTable(id, "fake", "none")
+			}
+			if i == 2 || i == 4 {
+				run = func(Config) *Table {
+					ran.Add(1)
+					return explodeInExperiment(id)
+				}
+			}
+			list = append(list, Experiment{ID: id, Run: run})
+		}
+		cfg := Config{Seed: 7, Quick: true, Shards: 2}
+		msg := func() (msg string) {
+			defer func() {
+				r := recover()
+				s, ok := r.(string)
+				if !ok {
+					t.Fatalf("parallelism %d: recovered %T %v, want a string message", parallelism, r, r)
+				}
+				msg = s
+			}()
+			runExperiments(list, cfg, parallelism)
+			return ""
+		}()
+		if n := ran.Load(); n != int64(len(list)) {
+			t.Fatalf("parallelism %d: %d of %d experiments ran before the re-raise", parallelism, n, len(list))
+		}
+		for _, want := range []string{"X02 (seed 7) panicked", "X02 broke", "explodeInExperiment"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("parallelism %d: message lacks %q:\n%s", parallelism, want, msg)
+			}
+		}
+		if strings.Contains(msg, "X04") {
+			t.Fatalf("parallelism %d: message names X04, not the lowest failing index:\n%s", parallelism, msg)
+		}
+		lines := strings.Split(msg, "\n")
+		if last, want := lines[len(lines)-1], "reproduce: fstutter run X02 -seed 7 -quick -shards 2"; last != want {
+			t.Fatalf("parallelism %d: last line %q, want %q", parallelism, last, want)
 		}
 	}
 }

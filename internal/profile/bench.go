@@ -50,8 +50,8 @@ type BenchArtifact struct {
 	Shards     int    `json:"shards,omitempty"`
 	GoMaxProcs int    `json:"gomaxprocs,omitempty"`
 	NumCPU     int    `json:"numcpu,omitempty"`
-	// SweepWorkers is the barrier sweep pool size the fleet benchmarks
-	// ran with (the resolved -sweep-workers value).
+	// SweepWorkers is the barrier sweep pool size of the sharded fleet
+	// benchmarks, which is always Shards.
 	SweepWorkers int     `json:"sweepworkers,omitempty"`
 	Benchmarks   []Bench `json:"benchmarks"`
 }

@@ -202,7 +202,6 @@ func TestWorkerPoolPanicReraised(t *testing.T) {
 // kernel's barrier hook reports the window whose barrier was running.
 func TestBarrierPoolPanicNamesWindow(t *testing.T) {
 	ss := NewSharded(2, 1)
-	ss.SetBarrierParallelism(2)
 	pool := ss.BarrierPool()
 	defer pool.Close()
 	ss.SetBarrier(func(h Time) {

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 )
 
@@ -65,10 +64,10 @@ type WorkerPool struct {
 	t, h Time
 }
 
-// NewWorkerPool builds a pool of n workers; n <= 0 means GOMAXPROCS.
+// NewWorkerPool builds a pool of n workers; n must be at least 1.
 func NewWorkerPool(n int) *WorkerPool {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+	if n < 1 {
+		panic(fmt.Sprintf("sim: worker pool needs at least 1 worker, got %d", n))
 	}
 	return &WorkerPool{n: n, t: math.NaN(), h: math.NaN()}
 }
@@ -102,23 +101,13 @@ func (p *WorkerPool) run(w int, fn func(worker int)) (pn *WorkerPanic) {
 // Close retires the pool. Idempotent; Do after Close panics.
 func (p *WorkerPool) Close() { p.closed = true }
 
-// SetBarrierParallelism sets the size of the kernel's barrier worker
-// pool (0 = GOMAXPROCS, the default). It must be called before the first
-// BarrierPool call; the pool's fan-out is fixed once built.
-func (ss *ShardedSimulator) SetBarrierParallelism(n int) {
-	if ss.pool != nil {
-		panic(fmt.Sprintf("sim: SetBarrierParallelism(%d) after the barrier pool was built", n))
-	}
-	ss.barrierWorkers = n
-}
-
 // BarrierPool returns the kernel's barrier worker pool, built at first use
-// with the SetBarrierParallelism fan-out. Barrier hooks fan fleet-wide
-// work (the PeerSet sweep) across it; because the hook runs
-// single-threaded between windows, the pool needs no locking of its own.
+// with one worker per shard. Barrier hooks fan fleet-wide work (the
+// PeerSet sweep) across it; because the hook runs single-threaded between
+// windows, the pool needs no locking of its own.
 func (ss *ShardedSimulator) BarrierPool() *WorkerPool {
 	if ss.pool == nil {
-		ss.pool = NewWorkerPool(ss.barrierWorkers)
+		ss.pool = NewWorkerPool(len(ss.shards))
 	}
 	return ss.pool
 }

@@ -28,13 +28,14 @@ func TestWorkerPoolRunsEveryWorker(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolDefaultSize pins the n<=0 default to GOMAXPROCS.
-func TestWorkerPoolDefaultSize(t *testing.T) {
-	p := NewWorkerPool(0)
-	defer p.Close()
-	if want := runtime.GOMAXPROCS(0); p.Workers() != want {
-		t.Fatalf("NewWorkerPool(0).Workers() = %d, want GOMAXPROCS %d", p.Workers(), want)
-	}
+// TestWorkerPoolZeroPanics: a pool needs at least one worker.
+func TestWorkerPoolZeroPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewWorkerPool(0) did not panic")
+		}
+	}()
+	NewWorkerPool(0)
 }
 
 // TestWorkerPoolDisjointWrites checks the caller's intended usage: each
@@ -97,23 +98,18 @@ func TestWorkerPoolSerialNoGoroutines(t *testing.T) {
 	p.Close()
 }
 
-// TestBarrierPoolLifecycle checks the kernel accessors: the fan-out set
-// before first use sticks, and setting it after the pool exists panics.
+// TestBarrierPoolLifecycle checks the kernel accessor: the pool has one
+// worker per shard and is built once.
 func TestBarrierPoolLifecycle(t *testing.T) {
-	ss := NewSharded(2, 1)
-	ss.SetBarrierParallelism(3)
-	pool := ss.BarrierPool()
-	defer pool.Close()
-	if pool.Workers() != 3 {
-		t.Fatalf("barrier pool has %d workers, want 3", pool.Workers())
-	}
-	if ss.BarrierPool() != pool {
-		t.Fatal("BarrierPool did not return the same pool on second call")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetBarrierParallelism after BarrierPool did not panic")
+	for _, shards := range []int{1, 3} {
+		ss := NewSharded(shards, 1)
+		pool := ss.BarrierPool()
+		if pool.Workers() != ss.Shards() {
+			t.Fatalf("barrier pool has %d workers, want %d shards", pool.Workers(), ss.Shards())
 		}
-	}()
-	ss.SetBarrierParallelism(5)
+		if ss.BarrierPool() != pool {
+			t.Fatal("BarrierPool did not return the same pool on second call")
+		}
+		pool.Close()
+	}
 }

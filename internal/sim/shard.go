@@ -87,10 +87,9 @@ type ShardedSimulator struct {
 	// pending events stay queued, exactly as Simulator.Stop leaves them.
 	stopped bool
 
-	// barrierWorkers and pool hold the reusable barrier worker pool
-	// (BarrierPool), which fleet-wide barrier hooks fan sweeps across.
-	barrierWorkers int
-	pool           *WorkerPool
+	// pool is the reusable barrier worker pool (BarrierPool), which
+	// fleet-wide barrier hooks fan sweeps across.
+	pool *WorkerPool
 
 	// tel, when non-nil, holds the per-shard telemetry collectors
 	// installed by SetTelemetry and folded into the destination sinks by

@@ -156,9 +156,6 @@ func (st *Station) SetTracer(t *trace.Tracer) {
 	}
 }
 
-// BaseRate returns the station's nominal service rate.
-func (st *Station) BaseRate() float64 { return st.baseRate }
-
 // Multiplier returns the current fault multiplier.
 func (st *Station) Multiplier() float64 { return st.mult }
 

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -92,5 +93,63 @@ func FuzzMedianBand(f *testing.F) {
 			bandMatchesRef(t, xs, x)
 		}
 		bandMatchesRef(t, xs, probe)
+	})
+}
+
+// fuzzMaxQuantile bounds the values one FuzzQuantile input holds.
+const fuzzMaxQuantile = 64
+
+// FuzzQuantile decodes its input as a q followed by 1 to 64 values, all
+// raw little-endian 64-bit floats, so NaNs, ±Inf, ±0 and repeated values
+// reach the selection code, and q may be NaN or out of range. It checks
+// Select at every rank against copying the values and sorting them with
+// sort.Float64s, including that Select only permutes and partitions its
+// slice, and QuantileInPlace at q and at a fixed grid against
+// QuantileSorted on the sorted copy. Values compare with NaN equal to
+// NaN: -0 and +0 tie under the sort order, so which zero a rank holds is
+// unspecified. The seed corpus under testdata/fuzz/FuzzQuantile replays
+// on every go test run.
+func FuzzQuantile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 16 {
+			return
+		}
+		q := math.Float64frombits(binary.LittleEndian.Uint64(in))
+		var xs []float64
+		for in = in[8:]; len(in) >= 8 && len(xs) < fuzzMaxQuantile; in = in[8:] {
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(in)))
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		bits := func(vs []float64) []uint64 {
+			out := make([]uint64, len(vs))
+			for i, v := range vs {
+				out[i] = math.Float64bits(v)
+			}
+			slices.Sort(out)
+			return out
+		}
+		perm := bits(xs)
+
+		for k := range xs {
+			sel := append([]float64(nil), xs...)
+			if got := Select(sel, k); !sameFloat(got, sorted[k]) || !sameFloat(sel[k], sorted[k]) {
+				t.Fatalf("Select(%v, %d) = %v with xs[k] = %v, want %v", xs, k, got, sel[k], sorted[k])
+			}
+			if !slices.Equal(bits(sel), perm) {
+				t.Fatalf("Select(%v, %d) left %v, not a permutation", xs, k, sel)
+			}
+			for i, v := range sel {
+				if (i < k && floatLess(sel[k], v)) || (i > k && floatLess(v, sel[k])) {
+					t.Fatalf("Select(%v, %d) left %v: index %d on the wrong side of rank %d", xs, k, sel, i, k)
+				}
+			}
+		}
+		for _, p := range []float64{q, 0, 0.25, 0.5, 0.95, 1} {
+			scratch := append([]float64(nil), xs...)
+			if got, ref := QuantileInPlace(scratch, p), QuantileSorted(sorted, p); !sameFloat(got, ref) {
+				t.Fatalf("QuantileInPlace(%v, %v) = %v, want %v", xs, p, got, ref)
+			}
+		}
 	})
 }

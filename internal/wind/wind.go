@@ -131,7 +131,6 @@ type Volume struct {
 	nextHome   int64
 	diverted   uint64
 	written    uint64
-	read       uint64
 }
 
 // NewVolume builds the volume and its monitoring plane.
@@ -205,9 +204,6 @@ func (v *Volume) Diverted() uint64 { return v.diverted }
 
 // Written returns completed logical block writes.
 func (v *Volume) Written() uint64 { return v.written }
-
-// ReadCount returns completed logical block reads.
-func (v *Volume) ReadCount() uint64 { return v.read }
 
 // Bookkeeping returns the number of placement records held.
 func (v *Volume) Bookkeeping() int { return len(v.placements) }
@@ -381,7 +377,6 @@ func (v *Volume) Read(block int64, onDone func()) {
 			return
 		}
 		finished = true
-		v.read++
 		if onDone != nil {
 			onDone()
 		}
