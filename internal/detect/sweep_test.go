@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"failstutter/internal/sim"
 	"failstutter/internal/spec"
 )
 
@@ -153,27 +154,27 @@ func BenchmarkPeerSetParallelSweep(b *testing.B) {
 					p.Register(fmt.Sprintf("disk%07d", i))
 				}
 				pool := testPool{n: workers}
-				// One straggler per thousand members, in the warm-up
-				// sweeps too: a single slow sample does not move a
-				// 4-sample window's median, so a straggler injected only
-				// in the timed loop would go unflagged at b.N = 1.
-				fill := func(k int) {
-					for i := range rates {
-						rates[i] = 100 + float64((i+k)%13)
-						if i%1000 == 0 {
-							rates[i] = 5
-						}
+				// Each member samples at its own rate, drawn as E32's
+				// disks draw theirs (80 + 40·U from a seeded stream), so
+				// the peer medians are as spread as the fleet's. One
+				// straggler per thousand members, in the warm-up sweeps
+				// too: a single slow sample does not move a 4-sample
+				// window's median, so a straggler injected only in the
+				// timed loop would go unflagged at b.N = 1.
+				rng := sim.NewRNG(42)
+				for i := range rates {
+					rates[i] = 80 + 40*rng.Float64()
+					if i%1000 == 0 {
+						rates[i] = 5
 					}
 				}
 				for k := 0; k < 4; k++ {
-					fill(k)
 					p.SweepObserve(pool, float64(k), rates)
 				}
 				p.SweepVerdicts(pool, 3, verdicts)
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
 					now := float64(4 + n)
-					fill(n)
 					p.SweepObserve(pool, now, rates)
 					if p.SweepVerdicts(pool, now, verdicts) == 0 {
 						b.Fatal("sweep flagged nothing; straggler injection broken")

@@ -39,8 +39,9 @@ func telemetryArtifacts(t *testing.T, tbl *Table) string {
 
 // TestFleetShardCountInvariant asserts the sharded kernel's core
 // contract on the fleet experiment: E32's table AND its telemetry
-// artifacts are byte-identical at shard counts 1, 2, and 8, for several
-// seeds. The shard count may only trade wall-clock for cores.
+// artifacts are byte-identical at shard counts 1, 2, 3 and 8, for
+// several seeds; 3 splits the disks and the sweep unevenly. The shard
+// count may only trade wall-clock for cores.
 func TestFleetShardCountInvariant(t *testing.T) {
 	e, err := Get("E32")
 	if err != nil {
@@ -57,7 +58,7 @@ func TestFleetShardCountInvariant(t *testing.T) {
 			return tbl.Format(), tbl.CSV(), art
 		}
 		refFmt, refCSV, refArt := run(1)
-		for _, shards := range []int{2, 8} {
+		for _, shards := range []int{2, 3, 8} {
 			gotFmt, gotCSV, gotArt := run(shards)
 			if gotFmt != refFmt {
 				t.Errorf("seed %d: E32 table differs between -shards=1 and -shards=%d:\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",

@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -117,5 +121,55 @@ func TestTelemetryGolden(t *testing.T) {
 		t.Fatalf("E05 Chrome trace diverged from %s (len %d vs %d); "+
 			"inspect in Perfetto and refresh with -update if intended",
 			path, buf.Len(), len(want))
+	}
+}
+
+// TestFleetTelemetryDigest pins every artifact of E32's quick, seed-42
+// flight-recorded run at one shard — the Chrome trace, the metrics JSON
+// and CSV, the audit JSON — by SHA-256, in sha256sum format, so the
+// recorder's selection cannot drift unnoticed. The file names are the
+// ones `fstutter run E32 -quick -seed 42 -shards 1 -trace-out=DIR
+// -metrics-out=DIR -audit` writes, so `sha256sum -c` checks that
+// directory against the committed file. Refresh with `go test
+// ./internal/experiments -run FleetTelemetryDigest -update` only when
+// the change is meant to move E32's artifacts.
+func TestFleetTelemetryDigest(t *testing.T) {
+	e, err := Get("E32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := observed
+	cfg.Shards = 1
+	tel := e.Run(cfg).Telemetry
+	var got strings.Builder
+	for _, a := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"E32.trace.json", tel.Tracer.WriteChromeTrace},
+		{"E32.metrics.json", tel.Metrics.WriteJSON},
+		{"E32.metrics.csv", tel.Metrics.WriteCSV},
+		{"E32.audit.json", tel.Audit.WriteJSON},
+	} {
+		h := sha256.New()
+		if err := a.write(h); err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		fmt.Fprintf(&got, "%x  %s\n", h.Sum(nil), a.name)
+	}
+	path := filepath.Join("testdata", "E32.telemetry.sha256")
+	if *update {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("E32 quick seed-42 artifacts diverged from %s:\n--- got\n%s--- want\n%s"+
+			"refresh with -update only if the change is meant to move them",
+			path, got.String(), want)
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -18,13 +19,23 @@ import (
 //   - merging N parts into an empty destination commutes with having
 //     recorded everything on one collector.
 
-// sortEntries orders retained completions canonically: by start time,
-// then track name, then the track's begin sequence, then merge epoch.
-// Each track records on exactly one collector per sub-run, so the key is
-// a strict total order over any one merge batch.
-func sortEntries(ents []frEntry) {
+// spanEntry is one exported span with the placement-invariant keys a
+// merge orders it by: the resolved track name, the span's begin sequence
+// on that track, and the merge epoch.
+type spanEntry struct {
+	span  Span
+	name  string
+	seq   uint64
+	epoch uint32
+}
+
+// sortEntries orders exported spans canonically: by start time, then
+// track name, then the track's begin sequence, then merge epoch. Each
+// track records on exactly one collector per sub-run, so the key is a
+// strict total order over any one merge batch.
+func sortEntries(ents []spanEntry) {
 	sort.Slice(ents, func(i, j int) bool {
-		a, b := ents[i], ents[j]
+		a, b := &ents[i], &ents[j]
 		if a.span.Start != b.span.Start {
 			return a.span.Start < b.span.Start
 		}
@@ -42,7 +53,7 @@ func sortEntries(ents []frEntry) {
 // entries keyed for canonical ordering, its track-name table, and its
 // exact recorded count.
 type tracerExport struct {
-	ents     []frEntry
+	ents     []spanEntry
 	tracks   []string
 	recorded uint64
 }
@@ -57,14 +68,14 @@ func (t *Tracer) exportEntries() tracerExport {
 	tracks := make([]string, len(t.tracks))
 	copy(tracks, t.tracks)
 	if t.fr != nil {
-		return tracerExport{ents: t.fr.snapshot(t.tracks), tracks: tracks, recorded: t.fr.recorded}
+		return tracerExport{ents: t.fr.snapshot(), tracks: tracks, recorded: t.fr.recorded}
 	}
-	ents := make([]frEntry, len(t.spans))
+	ents := make([]spanEntry, len(t.spans))
 	seqs := make([]uint64, len(t.tracks))
 	for i, sp := range t.spans {
 		seq := seqs[sp.Track]
 		seqs[sp.Track] = seq + 1
-		ents[i] = frEntry{span: sp, name: t.tracks[sp.Track], seq: seq}
+		ents[i] = spanEntry{span: sp, name: t.tracks[sp.Track], seq: seq}
 	}
 	return tracerExport{ents: ents, tracks: tracks, recorded: uint64(len(t.spans))}
 }
@@ -89,7 +100,7 @@ func (t *Tracer) Merge(parts ...*Tracer) {
 		return
 	}
 	exports := make([]tracerExport, 0, len(parts))
-	total := 0
+	total, totalTracks := 0, 0
 	for _, p := range parts {
 		if p == nil || p == t {
 			continue
@@ -97,19 +108,18 @@ func (t *Tracer) Merge(parts ...*Tracer) {
 		ex := p.exportEntries()
 		exports = append(exports, ex)
 		total += len(ex.ents)
+		totalTracks += len(ex.tracks)
 	}
-	nameSet := make(map[string]bool)
+	// The union of the parts' track names, sorted: per-shard tables that
+	// registered their tracks in name order concatenate already sorted,
+	// which the sort finishes in linear time.
+	names := make([]string, 0, totalTracks)
 	for _, ex := range exports {
-		for _, n := range ex.tracks {
-			nameSet[n] = true
-		}
+		names = append(names, ex.tracks...)
 	}
-	names := make([]string, 0, len(nameSet))
-	for n := range nameSet {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	all := make([]frEntry, 0, total)
+	slices.Sort(names)
+	names = slices.Compact(names)
+	all := make([]spanEntry, 0, total)
 	for _, ex := range exports {
 		all = append(all, ex.ents...)
 	}
@@ -119,7 +129,12 @@ func (t *Tracer) Merge(parts ...*Tracer) {
 	defer t.mu.Unlock()
 	// Register the union in sorted order even when no spans survived:
 	// empty tracks still appear in the exported timeline, and their order
-	// must not depend on shard placement.
+	// must not depend on shard placement. A destination with no tracks
+	// yet sizes its track table for the union once.
+	if len(t.tracks) == 0 {
+		t.tracks = make([]string, 0, len(names))
+		t.trackIx = make(map[string]TrackID, len(names))
+	}
 	for _, n := range names {
 		t.trackLocked(n)
 	}
@@ -128,13 +143,14 @@ func (t *Tracer) Merge(parts ...*Tracer) {
 		for _, ex := range exports {
 			t.fr.recorded += ex.recorded
 		}
-		for _, e := range all {
-			sp := e.span
-			sp.ID, sp.Parent = 0, 0
-			sp.Track = t.trackIx[e.name]
-			sp.Start += t.offset
-			sp.End += t.offset
-			t.fr.retire(frEntry{span: sp, name: e.name, seq: e.seq, epoch: t.fr.epoch})
+		for i := range all {
+			e := &all[i]
+			t.fr.retire(&frEntry{
+				trackName: e.name, name: e.span.Name, cat: e.span.Cat,
+				start: e.span.Start + t.offset, end: e.span.End + t.offset,
+				arg: e.span.Arg, seq: e.seq, track: t.trackIx[e.name], epoch: t.fr.epoch,
+				hasArg: e.span.HasArg, instant: e.span.Instant,
+			})
 		}
 		return
 	}

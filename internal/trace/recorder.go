@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // RecorderConfig bounds a tracer for fleet scale. A flight-recorder
 // tracer tracks open spans exactly (memory proportional to spans in
@@ -52,7 +49,11 @@ func (t *Tracer) SetFlightRecorder(cfg RecorderConfig) {
 	if t.fr != nil || len(t.spans) > 0 {
 		panic("trace: SetFlightRecorder requires a fresh tracer")
 	}
-	t.fr = &flightRecorder{cfg: cfg}
+	t.fr = &flightRecorder{
+		cfg:  cfg,
+		ring: frSelection{bound: cfg.Ring},
+		res:  frSelection{bound: cfg.Reservoir, byPrio: true},
+	}
 }
 
 const (
@@ -62,26 +63,192 @@ const (
 	frSlotBits = 24
 	frSlotMask = SpanID(1)<<frSlotBits - 1
 	frMaxSlots = 1<<frSlotBits - 2
+	// frChunkBits sizes the open-span arena's chunks (1024 slots). The
+	// arena grows a chunk at a time, so it allocates each slot once and
+	// growth never copies the slots already handed out.
+	frChunkBits = 10
+	frChunkMask = 1<<frChunkBits - 1
 )
 
-// frOpen is one in-flight span slot in the recorder's arena.
+// frOpen is one in-flight span slot in the recorder's arena. It holds
+// only what an open span needs: the end time arrives with End, and a
+// flight recorder exports neither span ids nor parent links.
 type frOpen struct {
-	span Span
-	seq  uint64
-	gen  uint16
-	live bool
+	name, cat string
+	start     float64
+	arg       int64
+	seq       uint64
+	track     TrackID
+	gen       uint16
+	hasArg    bool
+	live      bool
 }
 
-// frEntry is one retained completion, carrying the placement-invariant
-// keys the selections and the merge are ordered by: the resolved track
-// name, the span's begin sequence on that track, and the merge epoch
-// (which sub-run fed it into a destination recorder).
+// frEntry is one retained completion: the exported span fields plus the
+// placement-invariant keys the selections and the merge are ordered by —
+// the resolved track name (with nameKey, its first eight bytes as an
+// integer), the span's begin sequence on that track, the merge epoch
+// (which sub-run fed it into a destination recorder) and the reservoir
+// priority.
 type frEntry struct {
-	span  Span
-	name  string
-	seq   uint64
-	epoch uint32
-	prio  uint64
+	trackName  string
+	name, cat  string
+	start, end float64
+	arg        int64
+	nameKey    uint64
+	seq, prio  uint64
+	track      TrackID
+	epoch      uint32
+	hasArg     bool
+	instant    bool
+}
+
+// frNameKey packs the first eight bytes of a track name big-endian,
+// zero-padded. Keys order like the names wherever they differ, so the
+// selection orders compare names as integers and fall back to the
+// string only when the keys tie (names sharing eight leading bytes, or
+// a name and its zero-padded prefix).
+func frNameKey(name string) uint64 {
+	var k uint64
+	for i := 0; i < 8; i++ {
+		k <<= 8
+		if i < len(name) {
+			k |= uint64(name[i])
+		}
+	}
+	return k
+}
+
+// exported returns the entry as a merge entry with its Span (id and
+// parent zero).
+func (e *frEntry) exported() spanEntry {
+	return spanEntry{
+		span: Span{
+			Track: e.track, Name: e.name, Cat: e.cat, Start: e.start, End: e.end,
+			Arg: e.arg, HasArg: e.hasArg, Instant: e.instant,
+		},
+		name: e.trackName, seq: e.seq, epoch: e.epoch,
+	}
+}
+
+// frSelection keeps the bound best completions retired into it, under
+// the recency order for the ring and the priority order for the
+// reservoir. Entries are retired into buf in batches. One that does not
+// beat the cut — the worst of the bound entries kept at the last
+// compaction — is outranked by bound retained entries, can never be
+// selected, and is dropped at once; the rest are appended, and when buf
+// reaches 2·bound one quickselect keeps the bound best. Both orders are
+// strict total orders on distinct retirements, so the kept set is a pure
+// function of the retired multiset, whatever the retire order or batch
+// boundaries.
+type frSelection struct {
+	bound  int
+	byPrio bool // reservoir order (frResLess) rather than recency
+	buf    []frEntry
+	idx    []int32 // compaction scratch
+	cut    frEntry
+	hasCut bool
+}
+
+// better reports whether a outranks b in the selection's order.
+func (s *frSelection) better(a, b *frEntry) bool {
+	if s.byPrio {
+		return frResLess(a, b)
+	}
+	return frRingLess(b, a)
+}
+
+// offer retires e into the selection, compacting when the buffer fills.
+// The buffer and its index scratch are allocated once, at their full
+// 2·bound.
+func (s *frSelection) offer(e *frEntry) {
+	if s.hasCut && !s.better(e, &s.cut) {
+		return
+	}
+	if s.buf == nil {
+		s.buf = make([]frEntry, 0, 2*s.bound)
+		s.idx = make([]int32, 2*s.bound)
+	}
+	s.buf = append(s.buf, *e)
+	if len(s.buf) == 2*s.bound {
+		s.compact()
+	}
+}
+
+// compact cuts buf to its bound best entries and records the worst of
+// them as the new cut. Entries are compared in place through int32
+// indices, never copied by value; only the kept entries that sit past
+// the bound move, each into a dropped entry's slot.
+func (s *frSelection) compact() {
+	n, k := len(s.buf), s.bound
+	if n <= k {
+		return
+	}
+	idx := s.idx[:n]
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	s.selectBest(idx, k-1)
+	s.cut = s.buf[idx[k-1]]
+	s.hasCut = true
+	// Dropped slots below k (in idx[k:]) and kept entries at or past k
+	// (in idx[:k]) are equal in number: pair them up in scan order.
+	q := 0
+	for _, hole := range idx[k:] {
+		if int(hole) >= k {
+			continue
+		}
+		for int(idx[q]) < k {
+			q++
+		}
+		s.buf[hole] = s.buf[idx[q]]
+		q++
+	}
+	s.buf = s.buf[:k]
+}
+
+// selectBest partially orders idx so that idx[k] indexes the entry of
+// rank k (0 = best), the entries before it outrank it and those after it
+// do not. Quickselect with a median-of-three pivot, as stats.Select:
+// expected O(len(idx)) comparisons.
+func (s *frSelection) selectBest(idx []int32, k int) {
+	b := s.buf
+	lo, hi := 0, len(idx)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if s.better(&b[idx[mid]], &b[idx[lo]]) {
+			idx[mid], idx[lo] = idx[lo], idx[mid]
+		}
+		if s.better(&b[idx[hi]], &b[idx[lo]]) {
+			idx[hi], idx[lo] = idx[lo], idx[hi]
+		}
+		if s.better(&b[idx[hi]], &b[idx[mid]]) {
+			idx[hi], idx[mid] = idx[mid], idx[hi]
+		}
+		pivot := &b[idx[mid]]
+		i, j := lo, hi
+		for i <= j {
+			for s.better(&b[idx[i]], pivot) {
+				i++
+			}
+			for s.better(pivot, &b[idx[j]]) {
+				j--
+			}
+			if i <= j {
+				idx[i], idx[j] = idx[j], idx[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // flightRecorder holds the bounded retention state. All methods run
@@ -89,19 +256,18 @@ type frEntry struct {
 type flightRecorder struct {
 	cfg RecorderConfig
 
-	open []frOpen
-	free []int32
+	// open is the arena of in-flight span slots, in chunks; slots counts
+	// the slots handed out so far and free the ones to reuse.
+	open  [][]frOpen
+	slots int32
+	free  []int32
 	// trackSeq numbers each track's begins — the placement-invariant
 	// per-track sequence every selection key is built on.
 	trackSeq []uint64
 
-	// ring is a min-heap under frRingLess holding the cfg.Ring largest
-	// (i.e. most recent) completions; res is a max-heap under frResLess
-	// holding the cfg.Reservoir smallest priorities. Heap contents are a
-	// pure function of the retired multiset, so retire order — which is
-	// placement-dependent only for flush — cannot leak into the result.
-	ring []frEntry
-	res  []frEntry
+	// ring selects the cfg.Ring most recent completions and res the
+	// cfg.Reservoir lowest priorities.
+	ring, res frSelection
 
 	// epoch counts Merge batches fed into this recorder, keeping retained
 	// identities from different sub-runs distinct.
@@ -122,6 +288,11 @@ func (f *flightRecorder) nextSeq(track TrackID) uint64 {
 	return s
 }
 
+// slot returns arena slot i.
+func (f *flightRecorder) slot(i int32) *frOpen {
+	return &f.open[i>>frChunkBits][i&frChunkMask]
+}
+
 // begin opens a span in the arena and returns its local id
 // (generation<<frSlotBits | slot+1). start is already offset-adjusted.
 func (f *flightRecorder) begin(track TrackID, name, cat string, start float64, arg int64, hasArg bool) SpanID {
@@ -132,19 +303,19 @@ func (f *flightRecorder) begin(track TrackID, name, cat string, start float64, a
 		slot = f.free[n-1]
 		f.free = f.free[:n-1]
 	} else {
-		if len(f.open) > frMaxSlots {
+		if f.slots > frMaxSlots {
 			panic(fmt.Sprintf("trace: flight recorder exceeds %d concurrently open spans", frMaxSlots))
 		}
-		f.open = append(f.open, frOpen{})
-		slot = int32(len(f.open) - 1)
+		if int(f.slots>>frChunkBits) == len(f.open) {
+			f.open = append(f.open, make([]frOpen, 1<<frChunkBits))
+		}
+		slot = f.slots
+		f.slots++
 	}
-	o := &f.open[slot]
-	o.gen++
-	o.live = true
-	o.seq = seq
-	o.span = Span{
-		Track: track, Name: name, Cat: cat,
-		Start: start, End: math.NaN(), Arg: arg, HasArg: hasArg,
+	o := f.slot(slot)
+	*o = frOpen{
+		name: name, cat: cat, start: start, arg: arg, seq: seq,
+		track: track, gen: o.gen + 1, hasArg: hasArg, live: true,
 	}
 	return SpanID(uint64(o.gen))<<frSlotBits | SpanID(slot+1)
 }
@@ -154,91 +325,96 @@ func (f *flightRecorder) begin(track TrackID, name, cat string, start float64, a
 // matching the plain tracer's End contract. end is offset-adjusted.
 func (f *flightRecorder) end(local SpanID, end float64, tracks []string) {
 	slot := int64(local&frSlotMask) - 1
-	if slot < 0 || slot >= int64(len(f.open)) {
+	if slot < 0 || slot >= int64(f.slots) {
 		return
 	}
-	o := &f.open[slot]
+	o := f.slot(int32(slot))
 	if !o.live || uint16(local>>frSlotBits) != o.gen {
 		return
 	}
-	o.live = false
-	sp := o.span
-	sp.End = end
-	f.retire(frEntry{span: sp, name: tracks[sp.Track], seq: o.seq, epoch: f.epoch})
-	o.span = Span{}
+	f.close(o, end, tracks)
 	f.free = append(f.free, int32(slot))
+}
+
+// close retires the open span o with the given end time and releases
+// its strings; the caller frees the slot.
+func (f *flightRecorder) close(o *frOpen, end float64, tracks []string) {
+	o.live = false
+	f.retire(&frEntry{
+		trackName: tracks[o.track], name: o.name, cat: o.cat,
+		start: o.start, end: end, arg: o.arg, seq: o.seq,
+		track: o.track, epoch: f.epoch, hasArg: o.hasArg,
+	})
+	o.name, o.cat = "", ""
 }
 
 // instant records and immediately retires a marker event. at is
 // offset-adjusted.
 func (f *flightRecorder) instant(track TrackID, name, cat string, at float64, tracks []string) {
 	f.recorded++
-	seq := f.nextSeq(track)
-	f.retire(frEntry{
-		span: Span{Track: track, Name: name, Cat: cat, Start: at, End: at, Instant: true},
-		name: tracks[track], seq: seq, epoch: f.epoch,
+	f.retire(&frEntry{
+		trackName: tracks[track], name: name, cat: cat, start: at, end: at,
+		seq: f.nextSeq(track), track: track, epoch: f.epoch, instant: true,
 	})
 }
 
 // flush retires every open span at the given (offset-adjusted) end time.
 func (f *flightRecorder) flush(end float64, tracks []string) {
-	for slot := range f.open {
-		o := &f.open[slot]
-		if !o.live {
-			continue
+	for slot := int32(0); slot < f.slots; slot++ {
+		if o := f.slot(slot); o.live {
+			f.close(o, end, tracks)
+			f.free = append(f.free, slot)
 		}
-		o.live = false
-		sp := o.span
-		sp.End = end
-		f.retire(frEntry{span: sp, name: tracks[sp.Track], seq: o.seq, epoch: f.epoch})
-		o.span = Span{}
-		f.free = append(f.free, int32(slot))
 	}
 }
 
 // retire feeds one completion through both selections.
-func (f *flightRecorder) retire(e frEntry) {
+func (f *flightRecorder) retire(e *frEntry) {
+	e.nameKey = frNameKey(e.trackName)
 	if f.cfg.Ring > 0 {
-		if len(f.ring) < f.cfg.Ring {
-			f.ring = append(f.ring, e)
-			frSiftUp(f.ring, len(f.ring)-1, frRingHeapLess)
-		} else if frRingLess(f.ring[0], e) {
-			f.ring[0] = e
-			frSiftDown(f.ring, 0, frRingHeapLess)
-		}
+		f.ring.offer(e)
 	}
 	if f.cfg.Reservoir > 0 {
-		e.prio = frPriority(f.cfg.Seed, e.name, e.seq)
-		if len(f.res) < f.cfg.Reservoir {
-			f.res = append(f.res, e)
-			frSiftUp(f.res, len(f.res)-1, frResHeapLess)
-		} else if frResLess(e, f.res[0]) {
-			f.res[0] = e
-			frSiftDown(f.res, 0, frResHeapLess)
+		e.prio = frPriority(f.cfg.Seed, e.trackName, e.seq)
+		f.res.offer(e)
+	}
+}
+
+// retained compacts both selections and visits ring ∪ reservoir once
+// each: the ring, then every reservoir entry the ring does not hold.
+// After compaction the ring holds exactly the min(Ring, retired) most
+// recent completions, so a reservoir entry is in it exactly when it is
+// not older than the ring's least recent entry.
+func (f *flightRecorder) retained(visit func(e *frEntry)) {
+	f.ring.compact()
+	f.res.compact()
+	ring := f.ring.buf
+	var oldest *frEntry
+	for i := range ring {
+		visit(&ring[i])
+		if oldest == nil || frRingLess(&ring[i], oldest) {
+			oldest = &ring[i]
+		}
+	}
+	for i := range f.res.buf {
+		if e := &f.res.buf[i]; oldest == nil || frRingLess(e, oldest) {
+			visit(e)
 		}
 	}
 }
 
-// snapshot returns the retained selection — ring ∪ reservoir, deduplicated
-// by retained identity — in canonical (start, track name, begin sequence,
-// epoch) order.
-func (f *flightRecorder) snapshot(tracks []string) []frEntry {
-	type key struct {
-		name  string
-		seq   uint64
-		epoch uint32
-	}
-	out := make([]frEntry, 0, len(f.ring)+len(f.res))
-	seen := make(map[key]bool, len(f.ring))
-	for _, e := range f.ring {
-		seen[key{e.name, e.seq, e.epoch}] = true
-		out = append(out, e)
-	}
-	for _, e := range f.res {
-		if !seen[key{e.name, e.seq, e.epoch}] {
-			out = append(out, e)
-		}
-	}
+// retainedLen counts the retained selection without building it.
+func (f *flightRecorder) retainedLen() int {
+	n := 0
+	f.retained(func(*frEntry) { n++ })
+	return n
+}
+
+// snapshot returns the retained selection — ring ∪ reservoir — in
+// canonical (start, track name, begin sequence, epoch) order.
+func (f *flightRecorder) snapshot() []spanEntry {
+	out := make([]spanEntry, 0, len(f.ring.buf)+len(f.res.buf))
+	f.retained(func(e *frEntry) { out = append(out, e.exported()) })
 	sortEntries(out)
 	return out
 }
@@ -246,72 +422,38 @@ func (f *flightRecorder) snapshot(tracks []string) []frEntry {
 // frRingLess is the recency total order: by end time, then track name,
 // then the track's begin sequence, then epoch. Strict for distinct
 // retained spans — two spans on one track never share a sequence.
-func frRingLess(a, b frEntry) bool {
-	if a.span.End != b.span.End {
-		return a.span.End < b.span.End
+func frRingLess(a, b *frEntry) bool {
+	if a.end != b.end {
+		return a.end < b.end
 	}
-	if a.name != b.name {
-		return a.name < b.name
+	if a.nameKey != b.nameKey {
+		return a.nameKey < b.nameKey
+	}
+	if a.trackName != b.trackName {
+		return a.trackName < b.trackName
 	}
 	if a.seq != b.seq {
 		return a.seq < b.seq
 	}
 	return a.epoch < b.epoch
 }
-
-// frRingHeapLess roots the ring heap at its smallest (least recent)
-// entry — the one a newer completion evicts.
-func frRingHeapLess(a, b frEntry) bool { return frRingLess(a, b) }
 
 // frResLess is the reservoir total order: ascending hashed priority with
 // the same deterministic tie-break chain.
-func frResLess(a, b frEntry) bool {
+func frResLess(a, b *frEntry) bool {
 	if a.prio != b.prio {
 		return a.prio < b.prio
 	}
-	if a.name != b.name {
-		return a.name < b.name
+	if a.nameKey != b.nameKey {
+		return a.nameKey < b.nameKey
+	}
+	if a.trackName != b.trackName {
+		return a.trackName < b.trackName
 	}
 	if a.seq != b.seq {
 		return a.seq < b.seq
 	}
 	return a.epoch < b.epoch
-}
-
-// frResHeapLess roots the reservoir heap at its largest priority — the
-// entry a lower-priority completion evicts.
-func frResHeapLess(a, b frEntry) bool { return frResLess(b, a) }
-
-// frSiftUp restores heap order after appending at index i.
-func frSiftUp(h []frEntry, i int, less func(a, b frEntry) bool) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !less(h[i], h[p]) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-// frSiftDown restores heap order after replacing the entry at index i.
-func frSiftDown(h []frEntry, i int, less func(a, b frEntry) bool) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && less(h[r], h[l]) {
-			m = r
-		}
-		if !less(h[m], h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }
 
 // frPriority hashes a retained span's placement-invariant identity with

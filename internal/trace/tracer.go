@@ -251,7 +251,7 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.fr != nil {
-		return len(t.fr.snapshot(t.tracks))
+		return t.fr.retainedLen()
 	}
 	return len(t.spans)
 }
@@ -267,7 +267,7 @@ func (t *Tracer) Spans() []Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.fr != nil {
-		ents := t.fr.snapshot(t.tracks)
+		ents := t.fr.snapshot()
 		out := make([]Span, len(ents))
 		for i, e := range ents {
 			sp := e.span
