@@ -122,7 +122,7 @@ func (d *TrendDetector) Explain() trace.Evidence {
 // fraction of the exclude-one fleet median, read off the current median
 // band (NaN for both before the member's first sample).
 func (a *peerAdapter) Explain() trace.Evidence {
-	m := a.set.members[a.id]
+	m := a.set.member(a.id)
 	obs, ref := math.NaN(), math.NaN()
 	if m != nil && m.window.Len() > 0 {
 		obs = m.med

@@ -264,26 +264,33 @@ type PeerConfig struct {
 // experiments' barrier sweep over up to 2^20 disks) — so the band is
 // refilled once per phase: a full sweep is one O(P) select plus P O(1)
 // reads, with zero allocation once the buffer has grown to fleet size.
+//
+// Members live by value in one dense slice, in registration order. A
+// bulk registration (RegisterAll) cuts every new member's window from one
+// slab and defers the id index until the first by-name call, so a fleet
+// that only sweeps never hashes an id.
 type PeerSet struct {
-	cfg     PeerConfig
-	members map[string]*peerMember
-	list    []*peerMember // members in registration order, the rebuild source
-	meds    []float64     // scratch for the band: the sampled members' cached medians
-	band    stats.MedianBand
+	cfg   PeerConfig
+	list  []peerMember // members in registration order: the dense sweep order
+	names []string     // names[i] is list[i]'s id
+	// index maps each id to its dense index. It is nil until the first
+	// by-name call after a bulk registration, which builds it (indexed).
+	index map[string]int32
+	meds  []float64 // scratch for the band: the sampled members' cached medians
+	band  stats.MedianBand
 	// medsDirty marks the band stale; the next read refills it.
 	medsDirty bool
-	ids       []string // sorted member ids; nil after a membership change
+	sorted    []string // sorted member ids; nil after a membership change
 	// flagCounts holds the sweep engine's per-worker flag counters
 	// (sweep.go), reused across sweeps.
 	flagCounts []int
 }
 
 type peerMember struct {
-	window       *stats.Window
+	window       stats.Window
 	med          float64 // cached window.Median(), maintained by observe
 	lastProgress float64
 	sawAnything  bool
-	idx          int32 // dense sweep index: position in list
 }
 
 // NewPeerSet validates cfg and builds an empty fleet.
@@ -292,16 +299,12 @@ func NewPeerSet(cfg PeerConfig) *PeerSet {
 		cfg.MinPeers < 2 || cfg.PromotionTimeout < 0 {
 		panic(fmt.Sprintf("detect: invalid peer config %+v", cfg))
 	}
-	return &PeerSet{cfg: cfg, members: make(map[string]*peerMember)}
+	return &PeerSet{cfg: cfg, index: make(map[string]int32)}
 }
 
 // Observe records a rate sample for the named component.
 func (p *PeerSet) Observe(id string, now, rate float64) {
-	m := p.members[id]
-	if m == nil {
-		m = p.addMember(id)
-	}
-	m.observe(now, rate)
+	p.list[p.Register(id)].observe(now, rate)
 	p.medsDirty = true
 }
 
@@ -320,16 +323,28 @@ func (m *peerMember) observe(now, rate float64) {
 	m.med = m.window.Median()
 }
 
-// addMember creates and indexes a fresh member.
-func (p *PeerSet) addMember(id string) *peerMember {
-	m := &peerMember{
-		window: stats.NewWindow(p.cfg.WindowSamples),
-		idx:    int32(len(p.list)),
+// indexed returns the id index, building it first if a bulk registration
+// left it unbuilt. It panics, naming the id, if two members share an id.
+func (p *PeerSet) indexed() map[string]int32 {
+	if p.index == nil {
+		p.index = make(map[string]int32, len(p.names))
+		for i, id := range p.names {
+			if _, dup := p.index[id]; dup {
+				panic(fmt.Sprintf("detect: peer %q registered twice", id))
+			}
+			p.index[id] = int32(i)
+		}
 	}
-	p.members[id] = m
-	p.list = append(p.list, m)
-	p.ids = nil // membership changed; cached sorted ids are stale
-	return m
+	return p.index
+}
+
+// member returns the named member, or nil if it is not registered.
+func (p *PeerSet) member(id string) *peerMember {
+	i, ok := p.indexed()[id]
+	if !ok {
+		return nil
+	}
+	return &p.list[i]
 }
 
 // rebuildMeds refills the band from the cached median of every member
@@ -342,8 +357,8 @@ func (p *PeerSet) rebuildMeds() {
 		p.meds = make([]float64, 0, 2*len(p.list))
 	}
 	meds := p.meds[:0]
-	for _, m := range p.list {
-		if m.window.Len() > 0 {
+	for i := range p.list {
+		if m := &p.list[i]; m.window.Len() > 0 {
 			meds = append(meds, m.med)
 		}
 	}
@@ -365,14 +380,12 @@ func (p *PeerSet) medianBand() *stats.MedianBand {
 // Members returns the component ids in sorted order. The slice is cached
 // until membership changes; callers must not modify it.
 func (p *PeerSet) Members() []string {
-	if p.ids == nil {
-		p.ids = make([]string, 0, len(p.members))
-		for id := range p.members {
-			p.ids = append(p.ids, id)
-		}
-		sort.Strings(p.ids)
+	if p.sorted == nil {
+		p.indexed()
+		p.sorted = append(make([]string, 0, len(p.names)), p.names...)
+		sort.Strings(p.sorted)
 	}
-	return p.ids
+	return p.sorted
 }
 
 // peerMedian computes the median of the band's medians excluding the
@@ -385,7 +398,7 @@ func peerMedian(band *stats.MedianBand, m *peerMember) float64 {
 
 // Verdict classifies the named component as of the given time.
 func (p *PeerSet) Verdict(id string, now float64) spec.Verdict {
-	m := p.members[id]
+	m := p.member(id)
 	if m == nil {
 		return spec.Nominal
 	}
@@ -405,7 +418,7 @@ func (p *PeerSet) quickVerdict(m *peerMember, now float64) (v spec.Verdict, done
 	if p.cfg.PromotionTimeout > 0 && now-m.lastProgress > p.cfg.PromotionTimeout {
 		return spec.AbsoluteFaulty, true
 	}
-	if len(p.members) < p.cfg.MinPeers || m.window.Len() == 0 {
+	if len(p.list) < p.cfg.MinPeers || m.window.Len() == 0 {
 		return spec.Nominal, true
 	}
 	return spec.Nominal, false

@@ -89,14 +89,14 @@ func TestTrendDetectorSlopeMatchesTheilSenProperty(t *testing.T) {
 // refPeerVerdict replicates the pre-cache PeerSet algorithm: every
 // peer's window median recomputed from scratch on every verdict.
 func refPeerVerdict(p *PeerSet, id string, now float64) spec.Verdict {
-	m := p.members[id]
+	m := p.member(id)
 	if m == nil || !m.sawAnything {
 		return spec.Nominal
 	}
 	if p.cfg.PromotionTimeout > 0 && now-m.lastProgress > p.cfg.PromotionTimeout {
 		return spec.AbsoluteFaulty
 	}
-	if len(p.members) < p.cfg.MinPeers || m.window.Len() == 0 {
+	if len(p.list) < p.cfg.MinPeers || m.window.Len() == 0 {
 		return spec.Nominal
 	}
 	ref := refPeerMedian(p, id)
@@ -114,7 +114,8 @@ func refPeerVerdict(p *PeerSet, id string, now float64) spec.Verdict {
 // a sample.
 func refPeerMedian(p *PeerSet, id string) float64 {
 	var meds []float64
-	for other, om := range p.members {
+	for i, other := range p.names {
+		om := &p.list[i]
 		if other == id || om.window.Len() == 0 {
 			continue
 		}
@@ -156,10 +157,7 @@ func TestPeerSetMatchesRecomputeReferenceProperty(t *testing.T) {
 			}
 		}
 		// Cached member ids match a fresh sort.
-		want := make([]string, 0, len(p.members))
-		for id := range p.members {
-			want = append(want, id)
-		}
+		want := append([]string(nil), p.names...)
 		sort.Strings(want)
 		got := p.Members()
 		if len(got) != len(want) {

@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"slices"
 
 	"failstutter/internal/spec"
 )
@@ -56,10 +57,52 @@ func sweepChunk(n, workers, w int) (lo, hi int) {
 // up front lets SweepObserve run with no map lookups and no membership
 // mutation inside the parallel region.
 func (p *PeerSet) Register(id string) int {
-	if m := p.members[id]; m != nil {
-		return int(m.idx)
+	index := p.indexed()
+	if i, ok := index[id]; ok {
+		return int(i)
 	}
-	return int(p.addMember(id).idx)
+	i := len(p.list)
+	p.list = append(p.list, peerMember{})
+	p.list[i].window.Init(make([]float64, 2*p.cfg.WindowSamples))
+	p.names = append(p.names, id)
+	index[id] = int32(i)
+	p.sorted = nil
+	return i
+}
+
+// RegisterAll appends one member per id, in order, so ids[k] gets dense
+// index MemberCount()+k: the bulk form of a Register loop for a fleet
+// that is known up front. The new members' windows are cut from one slab,
+// and the id index is left to the first by-name call (Observe, Verdict,
+// Register, Members, a ComponentDetector's reads), so a fleet driven only
+// by SweepObserve and SweepVerdicts never builds it. Every id must be
+// new: that first by-name call panics, naming the id, if one was
+// registered before or appears twice. RegisterAll keeps ids; the caller
+// must not modify it afterwards.
+func (p *PeerSet) RegisterAll(ids []string) {
+	if len(ids) == 0 {
+		return
+	}
+	w := 2 * p.cfg.WindowSamples
+	slab := make([]float64, len(ids)*w)
+	base := len(p.list)
+	p.list = slices.Grow(p.list, len(ids))[:base+len(ids)]
+	for k := range ids {
+		m := &p.list[base+k]
+		*m = peerMember{}
+		m.window.Init(slab[k*w : (k+1)*w : (k+1)*w])
+	}
+	if base == 0 {
+		p.names = ids[:len(ids):len(ids)]
+	} else {
+		p.names = append(p.names, ids...)
+	}
+	if cap(p.meds) < len(p.list) {
+		// The band's scratch, sized once for the known fleet.
+		p.meds = make([]float64, 0, len(p.list))
+	}
+	p.index = nil
+	p.sorted = nil
 }
 
 // MemberCount returns the number of registered members — the length the
@@ -119,7 +162,7 @@ func (p *PeerSet) SweepVerdicts(par Parallel, now float64, out []spec.Verdict) i
 		count := 0
 		lo, hi := sweepChunk(n, workers, w)
 		for i := lo; i < hi; i++ {
-			m := p.list[i]
+			m := &p.list[i]
 			v, done := p.quickVerdict(m, now)
 			if !done {
 				v = p.classify(band, m)

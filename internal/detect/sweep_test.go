@@ -3,6 +3,7 @@ package detect
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -137,6 +138,99 @@ func TestSweepSizePanics(t *testing.T) {
 	}
 	expectPanic("SweepObserve", func() { p.SweepObserve(nil, 1, make([]float64, 3)) })
 	expectPanic("SweepVerdicts", func() { p.SweepVerdicts(nil, 1, make([]spec.Verdict, 1)) })
+}
+
+// TestRegisterAllDuplicatePanicsNamingID pins the lazy index's one
+// check: an id that a bulk registration repeats, or that was registered
+// before it, is caught by the first by-name call, whichever call that
+// is, and the panic names the id. Sweeps, which never build the index,
+// still run on such a set.
+func TestRegisterAllDuplicatePanicsNamingID(t *testing.T) {
+	builds := []struct {
+		name, dup string
+		build     func(p *PeerSet)
+	}{
+		{"repeated in one call", "a", func(p *PeerSet) { p.RegisterAll([]string{"a", "b", "a"}) }},
+		{"registered before", "b", func(p *PeerSet) {
+			p.Register("b")
+			p.RegisterAll([]string{"c", "b"})
+		}},
+	}
+	calls := []struct {
+		name string
+		call func(p *PeerSet)
+	}{
+		{"Observe", func(p *PeerSet) { p.Observe("z", 1, 1) }},
+		{"Verdict", func(p *PeerSet) { p.Verdict("z", 1) }},
+		{"Register", func(p *PeerSet) { p.Register("z") }},
+		{"Members", func(p *PeerSet) { p.Members() }},
+		{"Explain", func(p *PeerSet) { EvidenceOf(p.ComponentDetector("z")) }},
+	}
+	for _, b := range builds {
+		for _, c := range calls {
+			p := NewPeerSet(PeerConfig{WindowSamples: 2, Threshold: 0.5, MinPeers: 2})
+			b.build(p)
+			p.SweepObserve(nil, 0, make([]float64, p.MemberCount()))
+			p.SweepVerdicts(nil, 0, make([]spec.Verdict, p.MemberCount()))
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				c.call(p)
+				return
+			}()
+			if want := fmt.Sprintf("%q", b.dup); !strings.Contains(msg, want) || !strings.Contains(msg, "twice") {
+				t.Errorf("%s, then %s: panic %q, want one naming %s as registered twice", b.name, c.name, msg, want)
+			}
+		}
+	}
+}
+
+// TestRegisterAllSweepNeverIndexes checks the bulk path's point: a fleet
+// registered in one call and driven only by sweeps builds no id index
+// and allocates nothing per member — a sweep's only allocations are its
+// two fan-out closures, one per phase at any fleet size — and the index,
+// once a by-name call builds it, agrees with the dense order the sweeps
+// used.
+func TestRegisterAllSweepNeverIndexes(t *testing.T) {
+	const n = 4096
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("d%07d", i)
+	}
+	p := NewPeerSet(PeerConfig{WindowSamples: 4, Threshold: 0.7, MinPeers: 4, PromotionTimeout: 2.5})
+	p.RegisterAll(ids)
+	rates := make([]float64, n)
+	out := make([]spec.Verdict, n)
+	// Serial: testPool's goroutines would allocate on their own.
+	pool := Serial
+	now, flagged := 0.0, 0
+	sweep := func() {
+		now++
+		for i := range rates {
+			rates[i] = 100 + float64((i*7+int(now))%13)
+			if i%512 == 0 {
+				rates[i] = 20
+			}
+		}
+		p.SweepObserve(pool, now, rates)
+		flagged = p.SweepVerdicts(pool, now, out)
+	}
+	if allocs := testing.AllocsPerRun(5, sweep); allocs > 2 {
+		t.Errorf("a bulk-registered sweep allocates %v per run, want at most the 2 fan-out closures", allocs)
+	}
+	if p.index != nil {
+		t.Fatal("sweeps built the id index")
+	}
+	if flagged != n/512 {
+		t.Fatalf("sweep flagged %d members, want the %d stragglers", flagged, n/512)
+	}
+	for i, id := range ids {
+		if got := p.Verdict(id, now); got != out[i] {
+			t.Fatalf("Verdict(%s) = %v, sweep slot %d says %v", id, got, i, out[i])
+		}
+	}
+	if got := p.Register(ids[n/2]); got != n/2 {
+		t.Fatalf("Register(%s) = %d, want its bulk index %d", ids[n/2], got, n/2)
+	}
 }
 
 // BenchmarkPeerSetParallelSweep times one full monitoring sweep — observe

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"failstutter/internal/detect"
 	"failstutter/internal/sim"
@@ -111,6 +113,144 @@ type fleetDisk struct {
 	prev float64
 }
 
+// Fleet fault injection: 1-in-512 disks stutter to a quarter of their
+// rate and 1-in-1024 fail outright, both at the fault tick.
+const (
+	fleetStutterFrac = 1.0 / 512
+	fleetFailFrac    = 1.0 / 1024
+	fleetStutterMult = 0.25
+)
+
+// fleet holds every per-disk structure of one scenario in dense slabs
+// indexed by disk, so building n disks costs a few allocations per shard
+// block plus two per disk: the completion closure and the station's bound
+// finish.
+type fleet struct {
+	// ticks is the number of sweeps; faults inject at faultTick + ½.
+	ticks, faultTick int
+
+	ids      []string
+	stations []sim.Station
+	disks    []fleetDisk
+	// faultKind is 0 healthy, 1 stutter, 2 fail.
+	faultKind []uint8
+	// flagTick is the sweep a faulty disk was first flagged at, -1 until
+	// then.
+	flagTick []int32
+	// samples is each disk's rate over the last tick, written by its
+	// shard's sampler and read by the sweep.
+	samples []float64
+}
+
+func newFleet(n, ticks int) *fleet {
+	return &fleet{
+		ticks:     ticks,
+		faultTick: ticks / 3,
+		ids:       make([]string, n),
+		stations:  make([]sim.Station, n),
+		disks:     make([]fleetDisk, n),
+		faultKind: make([]uint8, n),
+		flagTick:  make([]int32, n),
+		samples:   make([]float64, n),
+	}
+}
+
+// appendDiskID appends disk i's id, fmt's "d%07d", to b.
+func appendDiskID(b []byte, i int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	b = append(b, 'd')
+	for k := len(d); k < 7; k++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
+}
+
+// nameBlock sets the ids of disks [lo, hi) as substrings of one string:
+// a builder never rewrites bytes it has written, so each id stays valid
+// as the block grows behind it.
+func (f *fleet) nameBlock(lo, hi int) {
+	var sb strings.Builder
+	sb.Grow((hi - lo) * len("d0000000"))
+	var buf [24]byte
+	for i := lo; i < hi; i++ {
+		start := sb.Len()
+		sb.Write(appendDiskID(buf[:0], i))
+		f.ids[i] = sb.String()[start:]
+	}
+}
+
+// buildBlock builds disks [lo, hi), the block shard sh owns, in index
+// order, arms the shard's sampler over them, and returns how many disks
+// it set to stutter and to fail. Each disk draws its base rate and fault
+// from its own stream, forked by disk id, so the draws do not depend on
+// the split. A first pass makes the draws, which fixes how many events
+// the block schedules (one completion per disk, one injection per faulty
+// disk, one sampler tick), so the shard's event arena is sized once; the
+// second builds the disks. tr is the shard's trace collector, nil when
+// tracing is off.
+func (f *fleet) buildBlock(sh *sim.Simulator, tr *trace.Tracer, root *sim.RNG, lo, hi int) (stutter, fail int) {
+	f.nameBlock(lo, hi)
+	for i := lo; i < hi; i++ {
+		rng := root.Fork(f.ids[i])
+		rate := 80 + 40*rng.Float64()
+		// Two completions per tick. Halving is exact, so 2·Size gives
+		// the rate back.
+		f.disks[i].req.Size = rate * 0.5
+		f.flagTick[i] = -1
+		switch u := rng.Float64(); {
+		case u < fleetFailFrac:
+			f.faultKind[i] = 2
+			fail++
+		case u < fleetFailFrac+fleetStutterFrac:
+			f.faultKind[i] = 1
+			stutter++
+		}
+	}
+	sh.Reserve(hi - lo + stutter + fail + 1)
+	tr.ReserveTracks(hi - lo)
+	at := float64(f.faultTick) + 0.5
+	for i := lo; i < hi; i++ {
+		d := &f.disks[i]
+		d.st = &f.stations[i]
+		d.st.Init(sh, f.ids[i], 2*d.req.Size)
+		if tr != nil {
+			d.st.SetTracer(tr)
+		}
+		// The closed loop resubmits the same request object, so steady
+		// state allocates nothing.
+		d.req.OnDone = func(r *sim.Request) {
+			d.done += r.Size
+			d.st.Submit(r)
+		}
+		d.st.Submit(&d.req)
+		switch f.faultKind[i] {
+		case 2:
+			sh.At(at, d.st.Fail)
+		case 1:
+			sh.At(at, func() { d.st.SetMultiplier(fleetStutterMult) })
+		}
+	}
+
+	// The shard's sampler: at every tick it snapshots its own disks' work
+	// counters into samples — shard-local writes only, so the parallel
+	// window needs no synchronization.
+	var sample func()
+	sample = func() {
+		for i := lo; i < hi; i++ {
+			d := &f.disks[i]
+			cum := d.done + d.st.ServedInCurrent()
+			f.samples[i] = (cum - d.prev) / fleetTick
+			d.prev = cum
+		}
+		if sh.Now()+fleetTick <= float64(f.ticks) {
+			sh.After(fleetTick, sample)
+		}
+	}
+	sh.At(fleetTick, sample)
+	return stutter, fail
+}
+
 // RunFleetScenario runs one fleet scenario on a sharded kernel and
 // returns its outcome. Exported so `fstutter bench` can time the
 // million-disk configuration directly at full scale.
@@ -121,12 +261,6 @@ func RunFleetScenario(p FleetParams) FleetResult {
 	if p.Shards < 1 {
 		p.Shards = 1
 	}
-	faultTick := p.Ticks / 3
-	const (
-		stutterFrac = 1.0 / 512
-		failFrac    = 1.0 / 1024
-		stutterMult = 0.25
-	)
 	ss := sim.NewSharded(p.Shards, fleetTick)
 	pool := ss.BarrierPool()
 	if p.ObserveBarrier != nil {
@@ -137,69 +271,21 @@ func RunFleetScenario(p FleetParams) FleetResult {
 	// Shard s of k owns the contiguous disk block [s·n/k, (s+1)·n/k) — the
 	// split the barrier sweep's worker chunks use. The kernel's barrier
 	// pool has one worker per shard, so each chunk covers exactly the
-	// disks one shard just sampled. Every disk draws its base rate and
-	// fault from its own stream, forked by disk identity, so the draws do
-	// not depend on the split either. faultKind: 0 healthy, 1 stutter, 2
-	// fail.
+	// disks one shard just sampled, and worker s builds shard s's block:
+	// a block touches only its own disks, its shard's kernel and its
+	// shard's trace collector, and the injected-fault counts are reduced
+	// in shard order after the join.
 	root := sim.NewRNG(p.Seed).Fork("e32")
-	ids := make([]string, p.Disks)
-	faultKind := make([]uint8, p.Disks)
-	disks := make([]fleetDisk, p.Disks)
-	// flagTick is the sweep a faulty disk was first flagged at, -1 until
-	// then.
-	flagTick := make([]int32, p.Disks)
-	samples := make([]float64, p.Disks)
-	res := FleetResult{}
-	for shard := 0; shard < p.Shards; shard++ {
-		sh := ss.Shard(shard)
-		tr := ss.ShardTracer(shard)
+	f := newFleet(p.Disks, p.Ticks)
+	injected := make([][2]int, p.Shards)
+	pool.Do(func(shard int) {
 		lo, hi := p.Disks*shard/p.Shards, p.Disks*(shard+1)/p.Shards
-		for i := lo; i < hi; i++ {
-			ids[i] = fmt.Sprintf("d%07d", i)
-			rng := root.Fork(ids[i])
-			rate := 80 + 40*rng.Float64()
-			flagTick[i] = -1
-			d := &disks[i]
-			d.st = sim.NewStation(sh, ids[i], rate)
-			if tr != nil {
-				d.st.SetTracer(tr)
-			}
-			// Two completions per tick: the closed loop resubmits the same
-			// request object, so steady state allocates nothing.
-			d.req.Size = rate * 0.5
-			d.req.OnDone = func(r *sim.Request) {
-				d.done += r.Size
-				d.st.Submit(r)
-			}
-			d.st.Submit(&d.req)
-			switch u := rng.Float64(); {
-			case u < failFrac:
-				faultKind[i] = 2
-				res.InjectedFail++
-				sh.At(float64(faultTick)+0.5, d.st.Fail)
-			case u < failFrac+stutterFrac:
-				faultKind[i] = 1
-				res.InjectedStutter++
-				sh.At(float64(faultTick)+0.5, func() { d.st.SetMultiplier(stutterMult) })
-			}
-		}
-
-		// The shard's sampler: at every tick it snapshots its own disks'
-		// work counters into samples — shard-local writes only, so the
-		// parallel window needs no synchronization.
-		var sample func()
-		sample = func() {
-			for i := lo; i < hi; i++ {
-				d := &disks[i]
-				cum := d.done + d.st.ServedInCurrent()
-				samples[i] = (cum - d.prev) / fleetTick
-				d.prev = cum
-			}
-			if sh.Now()+fleetTick <= float64(p.Ticks) {
-				sh.After(fleetTick, sample)
-			}
-		}
-		sh.At(fleetTick, sample)
+		injected[shard][0], injected[shard][1] = f.buildBlock(ss.Shard(shard), ss.ShardTracer(shard), root, lo, hi)
+	})
+	res := FleetResult{}
+	for _, c := range injected {
+		res.InjectedStutter += c[0]
+		res.InjectedFail += c[1]
 	}
 
 	// The barrier drains every tick's samples into the fleet sweep: all
@@ -212,33 +298,31 @@ func RunFleetScenario(p FleetParams) FleetResult {
 	ps := detect.NewPeerSet(detect.PeerConfig{
 		WindowSamples: 4, Threshold: 0.7, MinPeers: 4, PromotionTimeout: 2.5,
 	})
-	for _, id := range ids {
-		ps.Register(id)
-	}
+	ps.RegisterAll(f.ids)
 	verdicts := make([]spec.Verdict, p.Disks)
 	sweep := 1
 	lagSum, lagN := 0, 0
 	ss.SetBarrier(func(h sim.Time) {
 		for sweep <= p.Ticks && float64(sweep) < h {
 			now := float64(sweep)
-			ps.SweepObserve(pool, now, samples)
+			ps.SweepObserve(pool, now, f.samples)
 			flagged := ps.SweepVerdicts(pool, now, verdicts)
 			for i, v := range verdicts {
 				if v == spec.Nominal {
 					continue
 				}
-				if faultKind[i] != 0 && flagTick[i] < 0 {
-					flagTick[i] = int32(sweep)
-					lagSum += sweep - faultTick
+				if f.faultKind[i] != 0 && f.flagTick[i] < 0 {
+					f.flagTick[i] = int32(sweep)
+					lagSum += sweep - f.faultTick
 					lagN++
 				}
 				if sweep == p.Ticks {
 					switch {
-					case faultKind[i] == 2 && v == spec.AbsoluteFaulty:
+					case f.faultKind[i] == 2 && v == spec.AbsoluteFaulty:
 						res.DetectedFail++
-					case faultKind[i] == 1 && v == spec.PerfFaulty:
+					case f.faultKind[i] == 1 && v == spec.PerfFaulty:
 						res.DetectedStutter++
-					case faultKind[i] == 0:
+					case f.faultKind[i] == 0:
 						res.FalseAlarms++
 					}
 				}

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // RNG is a small, fast, deterministic random-number generator
 // (xoshiro256** seeded via splitmix64). Every stochastic component in the
@@ -17,8 +14,12 @@ type RNG struct {
 // including zero, yields a well-mixed state.
 func NewRNG(seed uint64) *RNG {
 	r := &RNG{}
-	// splitmix64 expansion of the seed into the xoshiro state.
-	x := seed
+	r.seed(seed)
+	return r
+}
+
+// seed sets the state to the splitmix64 expansion of x.
+func (r *RNG) seed(x uint64) {
 	for i := range r.s {
 		x += 0x9e3779b97f4a7c15
 		z := x
@@ -26,24 +27,44 @@ func NewRNG(seed uint64) *RNG {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		r.s[i] = z ^ (z >> 31)
 	}
-	return r
 }
 
 // Fork derives an independent stream identified by label. Forking is
 // deterministic: the same parent seed and label always produce the same
-// child stream.
+// child stream. The child's seed is the 64-bit FNV-1a hash of the parent
+// state (each word little-endian) followed by the label, computed without
+// a hash.Hash, so a fork allocates nothing but the child.
 func (r *RNG) Fork(label string) *RNG {
-	h := fnv.New64a()
-	// Mix in the parent state so sibling forks of distinct parents differ.
-	var buf [8]byte
-	for _, w := range r.s {
+	c := &RNG{}
+	c.forkFrom(r, label)
+	return c
+}
+
+// FNV-1a's 64-bit offset basis and prime.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// forkFrom seeds c with the FNV-1a hash of the parent state, then label.
+// Mixing in the parent state makes sibling forks of distinct parents
+// differ. It is kept out of line so that Fork itself inlines, which lets
+// a child that does not outlive its caller live on the caller's stack.
+//
+//go:noinline
+func (c *RNG) forkFrom(parent *RNG, label string) {
+	h := uint64(fnvOffset64)
+	for _, w := range parent.s {
 		for i := 0; i < 8; i++ {
-			buf[i] = byte(w >> (8 * i))
+			h ^= uint64(byte(w >> (8 * i)))
+			h *= fnvPrime64
 		}
-		h.Write(buf[:])
 	}
-	h.Write([]byte(label))
-	return NewRNG(h.Sum64())
+	for i := 0; i < len(label); i++ {
+		h ^= uint64(label[i])
+		h *= fnvPrime64
+	}
+	c.seed(h)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

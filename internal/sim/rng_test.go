@@ -56,6 +56,54 @@ func TestForkDeterministicAndIndependent(t *testing.T) {
 	}
 }
 
+// TestForkGolden pins Fork's derivation: the first three draws of the
+// children forked for a few (seed, label) pairs — an empty label, a short
+// one, a fleet disk id and one over 64 bytes — as the original
+// hash/fnv-based Fork produced them. Every stochastic component forks its
+// stream by name, so a change here moves every table in the suite.
+func TestForkGolden(t *testing.T) {
+	const long = "a label that is well over sixty-four bytes long, to cross any block edge"
+	golden := []struct {
+		seed  uint64
+		label string
+		draws [3]uint64
+	}{
+		{0, "", [3]uint64{0xe0e58d270e3e40b3, 0xe7f249083a52f17, 0x35918e7725ca802e}},
+		{0, "e32", [3]uint64{0xd2d02e9fcce88cd9, 0x1484c26e48eeced4, 0x590e166c8bf519f8}},
+		{1, "d0000042", [3]uint64{0x2f08a095cfd221d2, 0x4653bfdf57fb0aeb, 0xfc6cf1782c24a4fc}},
+		{1, long, [3]uint64{0x6a9998404a5358fc, 0x274f51196489eb8d, 0x7eab45daa9a43604}},
+		{42, "", [3]uint64{0x3c0c2f21fb3b1508, 0x9aee7aa5c1904d21, 0x6c7a00adb8666cfc}},
+		{42, "e32", [3]uint64{0xdc2853e39749b113, 0xacf8c77c5dce6296, 0x57b0cdeb78edd59e}},
+		{42, "d0000042", [3]uint64{0xd3abba11a85e054e, 0xa527a27591bafba5, 0xee71a231e26a7e25}},
+		{42, long, [3]uint64{0x20b7a71daf57a0fb, 0x6d645fa9b994cf2, 0x558421516f9015e1}},
+		{1337, "e32", [3]uint64{0x197eaca14f14f2cf, 0x5b521e955aa9b0f4, 0x99de02241886121d}},
+		{1337, "d0000042", [3]uint64{0x177c669a9d1d8639, 0x921c64b6c17d5bd1, 0x82cc8b59d87cad1}},
+	}
+	for _, g := range golden {
+		c := NewRNG(g.seed).Fork(g.label)
+		for i, want := range g.draws {
+			if got := c.Uint64(); got != want {
+				t.Errorf("NewRNG(%d).Fork(%q) draw %d = %#x, want %#x", g.seed, g.label, i, got, want)
+			}
+		}
+	}
+}
+
+// TestForkAllocatesOnlyTheChild bounds Fork at one allocation, the child
+// itself; a child that stays in its caller's frame costs none.
+func TestForkAllocatesOnlyTheChild(t *testing.T) {
+	root := NewRNG(42)
+	var child *RNG
+	if n := testing.AllocsPerRun(100, func() { child = root.Fork("d0000042") }); n > 1 {
+		t.Errorf("Fork allocates %v times, want at most 1", n)
+	}
+	local := testing.AllocsPerRun(100, func() { _ = root.Fork("d0000042").Uint64() })
+	if local != 0 {
+		t.Errorf("a fork used only in its caller's frame allocates %v times, want 0", local)
+	}
+	_ = child
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := NewRNG(3)
 	f := func(_ uint8) bool {

@@ -30,6 +30,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is a point in virtual time, measured in seconds since the start of
@@ -155,6 +156,16 @@ func (s *Simulator) EventsFired() uint64 { return s.fired }
 // Pending returns the number of live events still queued. Stopped events
 // never count, even while a chain still links their slots.
 func (s *Simulator) Pending() int { return s.pending }
+
+// Reserve makes room for n more pending events, so scheduling them grows
+// neither the event arena nor the heap. A caller that knows its event
+// population up front (a fleet of n stations, each with one completion
+// pending) reserves it once instead of letting the arena grow by
+// doubling.
+func (s *Simulator) Reserve(n int) {
+	s.arena = slices.Grow(s.arena, n)
+	s.heap = slices.Grow(s.heap, n)
+}
 
 // alloc takes a slot from the free list (or grows the arena) and
 // initializes it for a new event.

@@ -243,3 +243,24 @@ func TestEventIs32Bytes(t *testing.T) {
 		t.Fatalf("event is %d bytes, want 32", n)
 	}
 }
+
+// TestReserveHoldsArenaAndHeap checks Reserve's promise: after Reserve(n),
+// scheduling n events at distinct times (each its own heap entry) moves
+// neither the arena nor the heap.
+func TestReserveHoldsArenaAndHeap(t *testing.T) {
+	const n = 1000
+	s := New()
+	s.Reserve(n)
+	arena, heap := &s.arena[:1][0], &s.heap[:1][0]
+	fn := func() {}
+	for i := 0; i < n; i++ {
+		s.At(float64(n-i), fn)
+	}
+	if &s.arena[0] != arena || &s.heap[0] != heap {
+		t.Fatalf("scheduling %d reserved events grew the arena (cap %d) or the heap (cap %d)", n, cap(s.arena), cap(s.heap))
+	}
+	s.Run()
+	if s.EventsFired() != n {
+		t.Fatalf("fired %d events, want %d", s.EventsFired(), n)
+	}
+}

@@ -98,7 +98,6 @@ type Station struct {
 
 	baseRate float64
 	mult     float64
-	failed   bool
 
 	queue reqRing
 	cur   *Request
@@ -126,6 +125,8 @@ type Station struct {
 	// allocations.
 	tracer *trace.Tracer
 	track  trace.TrackID
+	// failed sits beside track, in what would be padding.
+	failed bool
 
 	// finishFn is st.finish bound once at construction: passing a method
 	// value to Simulator.At allocates a closure per call, which would put
@@ -135,12 +136,21 @@ type Station struct {
 
 // NewStation creates a station served at rate units/second.
 func NewStation(s *Simulator, name string, rate float64) *Station {
+	st := new(Station)
+	st.Init(s, name, rate)
+	return st
+}
+
+// Init sets st up in place as a fresh station on s served at rate
+// units/second, as NewStation does; callers that hold many stations keep
+// them in one slice and initialize each element. st must not be in use:
+// any state it held is discarded.
+func (st *Station) Init(s *Simulator, name string, rate float64) {
 	if rate <= 0 || math.IsNaN(rate) || math.IsInf(rate, 0) {
 		panic(fmt.Sprintf("sim: station %q with invalid rate %v", name, rate))
 	}
-	st := &Station{sim: s, name: name, baseRate: rate, mult: 1}
+	*st = Station{sim: s, name: name, baseRate: rate, mult: 1}
 	st.finishFn = st.finish
-	return st
 }
 
 // Name returns the station's identifying label.

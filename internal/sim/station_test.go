@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -202,6 +203,36 @@ func TestStationInvalidRatePanics(t *testing.T) {
 		}
 	}()
 	NewStation(s, "d0", 0)
+}
+
+// TestStationInitInSlab checks that stations set up in place in one slice
+// behave as NewStation's do: each element serves its own requests at its
+// own rate, and Init rejects an invalid rate as NewStation does.
+func TestStationInitInSlab(t *testing.T) {
+	s := New()
+	slab := make([]Station, 3)
+	var done [3]Time
+	for i := range slab {
+		st := &slab[i]
+		st.Init(s, fmt.Sprintf("d%d", i), float64(i+1))
+		if st.Name() != fmt.Sprintf("d%d", i) || st.EffectiveRate() != float64(i+1) {
+			t.Fatalf("slab station %d: name %q rate %v", i, st.Name(), st.EffectiveRate())
+		}
+		st.Submit(&Request{Size: 6, OnDone: func(r *Request) { done[i] = r.Finished }})
+	}
+	ref := NewStation(s, "ref", 2)
+	var refDone Time
+	ref.Submit(&Request{Size: 6, OnDone: func(r *Request) { refDone = r.Finished }})
+	s.Run()
+	if done != [3]Time{6, 3, 2} || refDone != done[1] {
+		t.Fatalf("slab stations finished at %v (NewStation at rate 2: %v), want [6 3 2]", done, refDone)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Init with a NaN rate did not panic")
+		}
+	}()
+	slab[0].Init(s, "bad", math.NaN())
 }
 
 func TestStationInvalidMultiplierPanics(t *testing.T) {

@@ -91,3 +91,47 @@ func TestWindowKeepsTailProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWindowInitSlab cuts neighbouring windows from one slab and drives
+// them apart: each must match a NewWindow fed the same stream (values,
+// median, quantile), so no window writes past its own cut. Init rejects
+// an empty or odd buffer.
+func TestWindowInitSlab(t *testing.T) {
+	const k, capacity = 3, 4
+	slab := make([]float64, k*2*capacity)
+	ws := make([]Window, k)
+	refs := make([]*Window, k)
+	for i := range ws {
+		ws[i].Init(slab[i*2*capacity : (i+1)*2*capacity])
+		refs[i] = NewWindow(capacity)
+	}
+	for step := 0; step < 11; step++ {
+		for i := range ws {
+			x := float64((step*(i+3))%7) - float64(i)
+			ws[i].Observe(x)
+			refs[i].Observe(x)
+			if ws[i].Len() != refs[i].Len() || ws[i].Full() != refs[i].Full() ||
+				ws[i].Median() != refs[i].Median() || ws[i].Quantile(0.9) != refs[i].Quantile(0.9) {
+				t.Fatalf("step %d window %d: slab window (len %d, median %v) differs from NewWindow (len %d, median %v)",
+					step, i, ws[i].Len(), ws[i].Median(), refs[i].Len(), refs[i].Median())
+			}
+			got, want := ws[i].Values(), refs[i].Values()
+			for j := range want {
+				if got[j] != want[j] {
+					t.Fatalf("step %d window %d: Values %v, want %v", step, i, got, want)
+				}
+			}
+		}
+	}
+	for _, n := range []int{0, 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Init over %d floats did not panic", n)
+				}
+			}()
+			var w Window
+			w.Init(make([]float64, n))
+		}()
+	}
+}

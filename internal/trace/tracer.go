@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -116,6 +117,24 @@ func (t *Tracer) trackLocked(name string) TrackID {
 	t.tracks = append(t.tracks, name)
 	t.trackIx[name] = id
 	return id
+}
+
+// ReserveTracks makes room for n more tracks, so registering them grows
+// neither the name table nor its index. A sharded fleet reserves each
+// collector's block of disks once instead of growing both one disk at a
+// time. On a nil tracer it does nothing.
+func (t *Tracer) ReserveTracks(n int) {
+	if t == nil || n <= 0 {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.tracks = slices.Grow(t.tracks, n)
+	ix := make(map[string]TrackID, len(t.trackIx)+n)
+	for name, id := range t.trackIx {
+		ix[name] = id
+	}
+	t.trackIx = ix
 }
 
 // Tracks returns the registered track names in registration order.

@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -32,6 +34,45 @@ func TestTracerSpanLifecycle(t *testing.T) {
 	if spans[1].Parent != root || spans[1].Arg != 42 || !spans[1].HasArg {
 		t.Fatalf("child span = %+v", spans[1])
 	}
+}
+
+// TestTracerReserveTracks checks that reserving tracks changes no id or
+// order — names registered before and after keep their ids, and a
+// repeated name still shares its track — and that registering the
+// reserved tracks allocates nothing.
+func TestTracerReserveTracks(t *testing.T) {
+	tr := NewTracer()
+	if tr.Track("early") != 0 {
+		t.Fatal("first track is not 0")
+	}
+	const n = 256
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("d%07d", i)
+	}
+	tr.ReserveTracks(n)
+	// One pass over all n names, counted whole: growth is amortized, so
+	// a per-call average would round it away.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i, name := range names {
+		if id := tr.Track(name); id != TrackID(i+1) {
+			t.Fatalf("track %s = %d, want %d", name, id, i+1)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("registering %d reserved tracks allocated %d times, want 0", n, allocs)
+	}
+	if tr.Track("early") != 0 || tr.Track(names[7]) != 8 {
+		t.Fatal("reserving moved an existing track id")
+	}
+	if got := tr.Tracks(); len(got) != n+1 || got[0] != "early" || got[n] != names[n-1] {
+		t.Fatalf("Tracks = %d names, first %q, last %q", len(got), got[0], got[len(got)-1])
+	}
+	var none *Tracer
+	none.ReserveTracks(n) // nil-safe, as every Tracer method
 }
 
 func TestTracerNilSafe(t *testing.T) {
