@@ -271,13 +271,8 @@ func cmdBench(cfg experiments.Config, samples int, outPath string) {
 				for n := 0; n < tb.N; n++ {
 					var tel *experiments.Telemetry
 					if c.traced {
-						rc := experiments.FleetRecorder(cfg.Seed)
-						tel = &experiments.Telemetry{
-							Tracer:   trace.NewTracer(),
-							Metrics:  trace.NewRegistry(),
-							Recorder: &rc,
-						}
-						tel.Tracer.SetFlightRecorder(rc)
+						tel = &experiments.Telemetry{Tracer: trace.NewTracer(), Metrics: trace.NewRegistry()}
+						tel.Tracer.SetFlightRecorder(experiments.FleetRecorder(cfg.Seed))
 					}
 					r := experiments.RunFleetScenario(experiments.FleetParams{
 						Disks: megaFleetDisks, Shards: c.shards, Seed: cfg.Seed,

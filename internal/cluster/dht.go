@@ -41,7 +41,6 @@ type DHTParams struct {
 type DHT struct {
 	p     DHTParams
 	ss    *sim.ShardedSimulator
-	home  int            // the shard the whole table is pinned to
 	sim   *sim.Simulator // the home shard's kernel
 	nodes []*DHTNode
 	flags []bool
@@ -146,6 +145,15 @@ type ackGroup struct {
 // under the coordinator still matters: the table shares the fleet's window
 // clock with whatever else the experiment runs, and its results are
 // trivially byte-identical at every shard count.
+//
+// To trace or audit the table, install telemetry on ss (SetTelemetry)
+// before calling NewDHT. With a tracer, every node's station records its
+// queue/service spans, each put records an ack-group span on the "dht"
+// track from issue to acknowledgment (the key as the span arg), and every
+// hinted-handoff release is an instant. With an audit log and Adaptive
+// set, each node's flag is wrapped in a detect.Audited transition logger
+// with the sampled rate and fleet median as evidence. All of it records
+// into the home shard's collectors.
 func NewDHT(ss *sim.ShardedSimulator, p DHTParams) *DHT {
 	if p.Nodes < 1 || p.Replication < 1 || p.Replication > p.Nodes || p.OpQuantum <= 0 {
 		panic("cluster: invalid DHT params")
@@ -161,63 +169,31 @@ func NewDHT(ss *sim.ShardedSimulator, p DHTParams) *DHT {
 	d := &DHT{
 		p:          p,
 		ss:         ss,
-		home:       home,
 		sim:        s,
 		flags:      make([]bool, p.Nodes),
 		lastUnits:  make([]float64, p.Nodes),
 		rates:      make([]float64, p.Nodes),
 		medScratch: make([]float64, p.Nodes),
 		repScratch: make([]int, p.Replication),
+		tracer:     ss.ShardTracer(home),
+	}
+	if d.tracer != nil {
+		d.track = d.tracer.Track("dht")
 	}
 	for i := 0; i < p.Nodes; i++ {
-		d.nodes = append(d.nodes, &DHTNode{
-			st: sim.NewStation(s, fmt.Sprintf("node-%d", i), 1/p.OpQuantum),
-		})
+		st := sim.NewStation(s, fmt.Sprintf("node-%d", i), 1/p.OpQuantum)
+		st.SetTracer(d.tracer)
+		d.nodes = append(d.nodes, &DHTNode{st: st})
+	}
+	if log := ss.ShardAudit(home); log != nil && p.Adaptive {
+		d.audDet = make([]*flagDetector, p.Nodes)
+		d.audited = make([]*detect.Audited, p.Nodes)
+		for i := range d.audited {
+			d.audDet[i] = &flagDetector{flagged: &d.flags[i], threshold: p.Threshold}
+			d.audited[i] = detect.NewAudited(d.audDet[i], log, fmt.Sprintf("node-%d", i))
+		}
 	}
 	return d
-}
-
-// SetTracer attaches a span tracer: every node's station records its
-// queue/service spans, each put records an ack-group span on the "dht"
-// track from issue to acknowledgment (the key as the span arg), and every
-// hinted-handoff release is an instant. A nil tracer detaches.
-func (d *DHT) SetTracer(t *trace.Tracer) {
-	// The DHT lives entirely on its home shard; with per-shard collectors
-	// installed, its spans record there and MergeTelemetry folds them into
-	// the tracer passed here.
-	if t != nil {
-		if st := d.ss.ShardTracer(d.home); st != nil {
-			t = st
-		}
-	}
-	d.tracer = t
-	if t != nil {
-		d.track = t.Track("dht")
-	}
-	for _, n := range d.nodes {
-		n.st.SetTracer(t)
-	}
-}
-
-// EnableAudit logs the adaptive detector's per-node flag transitions to
-// the given audit trail, wrapping each node's flag in a detect.Audited
-// transition logger with the sampled rate and fleet median as evidence.
-func (d *DHT) EnableAudit(log *trace.AuditLog) {
-	// Same redirect as SetTracer: node verdicts are issued on the home
-	// shard, so they record into its audit collector and reach the log
-	// passed here through the deterministic (time, component) merge.
-	if log != nil {
-		if sa := d.ss.ShardAudit(d.home); sa != nil {
-			log = sa
-		}
-	}
-	n := len(d.nodes)
-	d.audDet = make([]*flagDetector, n)
-	d.audited = make([]*detect.Audited, n)
-	for i := 0; i < n; i++ {
-		d.audDet[i] = &flagDetector{flagged: &d.flags[i], threshold: d.p.Threshold}
-		d.audited[i] = detect.NewAudited(d.audDet[i], log, fmt.Sprintf("node-%d", i))
-	}
 }
 
 // Node returns the i'th storage brick.

@@ -20,110 +20,150 @@ func countSpans(tr *trace.Tracer, cat string) map[string]int {
 	return out
 }
 
+// shardSpans returns every span the coordinator's per-shard collectors
+// hold. Read it before MergeTelemetry, whose flush closes any span still
+// open, so a span a component forgot to end is still seen open here.
+func shardSpans(ss *sim.ShardedSimulator) []trace.Span {
+	var out []trace.Span
+	for i := 0; i < ss.Shards(); i++ {
+		out = append(out, ss.ShardTracer(i).Spans()...)
+	}
+	return out
+}
+
 func TestBSPSuperstepSpans(t *testing.T) {
-	p := NewPool(newSharded(1), 4, 50e-6)
-	tr := trace.NewTracer()
-	p.SetTracer(tr)
-	RunBSP(p, BSPParams{Rounds: 3, UnitsPerWorkerRound: 20})
-	got := countSpans(tr, "bsp")
+	got := acrossShards(t, func(ss *sim.ShardedSimulator) map[string]int {
+		tr := trace.NewTracer()
+		ss.SetTelemetry(sim.TelemetrySinks{Tracer: tr})
+		p := NewPool(ss, 4, 50e-6)
+		RunBSP(p, BSPParams{Rounds: 3, UnitsPerWorkerRound: 20})
+		// Every superstep span must be closed at its barrier: an open span
+		// would report NaN end and break the critical-path walk.
+		for _, sp := range shardSpans(ss) {
+			if sp.Cat == "bsp" && !(sp.End >= sp.Start) {
+				t.Fatalf("superstep span %q left open (end %v)", sp.Name, sp.End)
+			}
+		}
+		ss.MergeTelemetry()
+		return countSpans(tr, "bsp")
+	})
 	for _, name := range []string{"superstep-0", "superstep-1", "superstep-2"} {
 		if got[name] != 1 {
 			t.Fatalf("span %q recorded %d times, want 1 (all: %v)", name, got[name], got)
 		}
 	}
-	// Every superstep span must be closed at its barrier: an open span
-	// would report NaN end and break the critical-path walk.
-	for _, sp := range tr.Spans() {
-		if sp.Cat == "bsp" && !(sp.End >= sp.Start) {
-			t.Fatalf("superstep span %q left open (end %v)", sp.Name, sp.End)
-		}
-	}
 }
 
 func TestDHTPutSpansAndHintInstants(t *testing.T) {
-	d := NewDHT(newSharded(1), DHTParams{
-		Nodes: 4, Replication: 2, OpQuantum: opQ,
-		Adaptive: true, SampleEvery: 1e-3,
-	})
-	tr := trace.NewTracer()
-	d.SetTracer(tr)
-	cancel := d.StartGC(0, 20e-3, 15e-3)
-	defer cancel()
-	d.RunLoad(4, 100e-3)
-	got := countSpans(tr, "dht")
-	if int64(got["put"]) != d.Puts() {
-		t.Fatalf("recorded %d put spans for %d acknowledged puts", got["put"], d.Puts())
+	type result struct {
+		spans       map[string]int
+		puts, hints int64
 	}
-	if d.Hints() == 0 {
+	r := acrossShards(t, func(ss *sim.ShardedSimulator) result {
+		tr := trace.NewTracer()
+		ss.SetTelemetry(sim.TelemetrySinks{Tracer: tr})
+		d := NewDHT(ss, DHTParams{
+			Nodes: 4, Replication: 2, OpQuantum: opQ,
+			Adaptive: true, SampleEvery: 1e-3,
+		})
+		cancel := d.StartGC(0, 20e-3, 15e-3)
+		defer cancel()
+		d.RunLoad(4, 100e-3)
+		for _, sp := range shardSpans(ss) {
+			if sp.Cat == "dht" && sp.Name == "put" && !(sp.End >= sp.Start) {
+				t.Fatalf("put span %d left open (end %v)", sp.ID, sp.End)
+			}
+		}
+		ss.MergeTelemetry()
+		return result{countSpans(tr, "dht"), d.Puts(), d.Hints()}
+	})
+	if int64(r.spans["put"]) != r.puts {
+		t.Fatalf("recorded %d put spans for %d acknowledged puts", r.spans["put"], r.puts)
+	}
+	if r.hints == 0 {
 		t.Fatal("scenario produced no hinted handoffs; test is vacuous")
 	}
-	if got["hinted-handoff"] == 0 {
+	if r.spans["hinted-handoff"] == 0 {
 		t.Fatal("no hinted-handoff instants despite hints > 0")
-	}
-	for _, sp := range tr.Spans() {
-		if sp.Cat == "dht" && sp.Name == "put" && !(sp.End >= sp.Start) {
-			t.Fatalf("put span %d left open (end %v)", sp.ID, sp.End)
-		}
 	}
 }
 
 func TestDHTAuditRecordsFlagTransitions(t *testing.T) {
-	d := NewDHT(newSharded(1), DHTParams{
-		Nodes: 4, Replication: 2, OpQuantum: opQ,
-		Adaptive: true, SampleEvery: 1e-3,
-	})
-	log := trace.NewAuditLog()
-	d.EnableAudit(log)
-	cancel := d.StartGC(0, 20e-3, 15e-3)
-	d.RunLoad(8, 150e-3)
-	cancel()
-	d.Settle()
-	recs := log.Records()
-	var sawFlag, sawRecover bool
-	for _, r := range recs {
-		if r.Component != "node-0" || r.Detector != "peer-relative" {
-			continue
-		}
-		if r.From == "nominal" && strings.Contains(r.To, "perf") {
-			sawFlag = true
-			if r.Evidence.Signal != "sample-rate" {
-				t.Fatalf("flag record carries evidence signal %q, want sample-rate", r.Evidence.Signal)
+	acrossShards(t, func(ss *sim.ShardedSimulator) string {
+		log := trace.NewAuditLog()
+		ss.SetTelemetry(sim.TelemetrySinks{Audit: log})
+		d := NewDHT(ss, DHTParams{
+			Nodes: 4, Replication: 2, OpQuantum: opQ,
+			Adaptive: true, SampleEvery: 1e-3,
+		})
+		cancel := d.StartGC(0, 20e-3, 15e-3)
+		d.RunLoad(8, 150e-3)
+		cancel()
+		d.Settle()
+		ss.MergeTelemetry()
+		recs := log.Records()
+		var sawFlag, sawRecover bool
+		for _, r := range recs {
+			if r.Component != "node-0" || r.Detector != "peer-relative" {
+				continue
+			}
+			if r.From == "nominal" && strings.Contains(r.To, "perf") {
+				sawFlag = true
+				if r.Evidence.Signal != "sample-rate" {
+					t.Fatalf("flag record carries evidence signal %q, want sample-rate", r.Evidence.Signal)
+				}
+			}
+			if strings.Contains(r.From, "perf") && r.To == "nominal" {
+				sawRecover = true
 			}
 		}
-		if strings.Contains(r.From, "perf") && r.To == "nominal" {
-			sawRecover = true
+		if !sawFlag {
+			t.Fatalf("audit trail missing node-0 nominal -> perf-faulty transition (records: %d)", len(recs))
 		}
-	}
-	if !sawFlag {
-		t.Fatalf("audit trail missing node-0 nominal -> perf-faulty transition (records: %d)", len(recs))
-	}
-	if !sawRecover {
-		t.Fatalf("audit trail missing node-0 recovery transition (records: %d)", len(recs))
-	}
+		if !sawRecover {
+			t.Fatalf("audit trail missing node-0 recovery transition (records: %d)", len(recs))
+		}
+		var sb strings.Builder
+		if err := log.WriteJSON(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	})
 }
 
 func TestSchedulerInstants(t *testing.T) {
 	// Reissue under a mid-job stall must emit "reissue" instants.
-	p := NewPool(newSharded(1), 4, q)
-	tr := trace.NewTracer()
-	p.SetTracer(tr)
-	p.SetSpeedAt(0, 10e-3, 0.02)
-	rep := Reissue{TimeoutFactor: 3}.Run(p, UniformTasks(60, 20))
-	if rep.Duplicates == 0 {
+	type result struct {
+		spans      map[string]int
+		duplicates int64
+	}
+	r := acrossShards(t, func(ss *sim.ShardedSimulator) result {
+		tr := trace.NewTracer()
+		ss.SetTelemetry(sim.TelemetrySinks{Tracer: tr})
+		p := NewPool(ss, 4, q)
+		p.SetSpeedAt(0, 10e-3, 0.02)
+		rep := Reissue{TimeoutFactor: 3}.Run(p, UniformTasks(60, 20))
+		ss.MergeTelemetry()
+		return result{countSpans(tr, "sched"), rep.Duplicates}
+	})
+	if r.duplicates == 0 {
 		t.Fatal("reissue scenario launched no duplicates; test is vacuous")
 	}
-	got := countSpans(tr, "sched")
-	if got["reissue"]+got["clone"] == 0 {
-		t.Fatalf("no reissue/clone instants recorded (spans: %v)", got)
+	if r.spans["reissue"]+r.spans["clone"] == 0 {
+		t.Fatalf("no reissue/clone instants recorded (spans: %v)", r.spans)
 	}
 
 	// Detect-avoid under a degraded worker must emit a "migrate" instant.
-	p2 := NewPool(newSharded(1), 4, q)
-	tr2 := trace.NewTracer()
-	p2.SetTracer(tr2)
-	p2.Workers()[0].SetSpeed(0.1)
-	DetectAvoid{}.Run(p2, UniformTasks(60, 40))
-	if countSpans(tr2, "sched")["migrate"] == 0 {
+	migrates := acrossShards(t, func(ss *sim.ShardedSimulator) int {
+		tr := trace.NewTracer()
+		ss.SetTelemetry(sim.TelemetrySinks{Tracer: tr})
+		p := NewPool(ss, 4, q)
+		p.Workers()[0].SetSpeed(0.1)
+		DetectAvoid{}.Run(p, UniformTasks(60, 40))
+		ss.MergeTelemetry()
+		return countSpans(tr, "sched")["migrate"]
+	})
+	if migrates == 0 {
 		t.Fatal("detect-avoid migration recorded no migrate instant")
 	}
 }
@@ -163,9 +203,6 @@ func TestClusterTracingDeterministic(t *testing.T) {
 				ss.SetTelemetry(sim.TelemetrySinks{Tracer: tr})
 			}
 			p := NewPool(ss, 4, q)
-			if tr != nil {
-				p.SetTracer(tr)
-			}
 			p.SetSpeedAt(0, 10e-3, 0.02)
 			rep := Reissue{TimeoutFactor: 3}.Run(p, UniformTasks(60, 20))
 			var sb strings.Builder

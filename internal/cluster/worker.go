@@ -130,24 +130,33 @@ type Pool struct {
 	ss      *sim.ShardedSimulator
 	workers []*Worker
 	quantum sim.Duration
-	// tracer, when non-nil, also records job-level activity (BSP
-	// supersteps, scheduler reissue/clone/migrate decisions) alongside the
-	// per-worker station spans.
+	// tracer, when non-nil, records job-level activity (BSP supersteps,
+	// scheduler reissue/clone/migrate decisions) alongside the per-worker
+	// station spans. Jobs record it single-threaded in barrier context,
+	// so it is shard 0's collector.
 	tracer *trace.Tracer
 }
 
 // NewPool builds n workers on the coordinator with the given quantum (the
 // virtual time one work unit costs at speed 1), placing worker i on the
 // shard its identity ("worker-<i>") hashes to.
+//
+// To trace the pool, install telemetry on ss (SetTelemetry) before calling
+// NewPool: each worker's station then records its queue/service spans on
+// a "worker-<id>" track in its home shard's collector — the only
+// placement where window-time appends stay race-free and lock-free — and
+// jobs running on the pool (BSP, schedulers) record their own spans into
+// shard 0's collector.
 func NewPool(ss *sim.ShardedSimulator, n int, quantum sim.Duration) *Pool {
 	if n < 1 {
 		panic("cluster: pool needs at least one worker")
 	}
-	p := &Pool{ss: ss, quantum: quantum}
+	p := &Pool{ss: ss, quantum: quantum, tracer: ss.ShardTracer(0)}
 	for i := 0; i < n; i++ {
 		home := ss.ShardFor(fmt.Sprintf("worker-%d", i))
 		w := newWorker(ss.Shard(home), i, quantum)
 		w.shard = home
+		w.st.SetTracer(ss.ShardTracer(home))
 		p.workers = append(p.workers, w)
 	}
 	return p
@@ -155,36 +164,6 @@ func NewPool(ss *sim.ShardedSimulator, n int, quantum sim.Duration) *Pool {
 
 // Workers returns the pool members.
 func (p *Pool) Workers() []*Worker { return p.workers }
-
-// SetTracer attaches a span tracer to every worker's station, recording
-// each execution's queue/service intervals on a "worker-<id>" track in
-// virtual time, and to the pool itself, so jobs running on it (BSP,
-// schedulers) emit their own spans. A nil tracer detaches.
-//
-// When the coordinator has per-shard collectors installed
-// (sim.ShardedSimulator.SetTelemetry), the attachment redirects: each
-// worker's station records into its home shard's collector — the only
-// placement where window-time appends stay race-free and lock-free — and
-// the pool's own job-level spans (BSP supersteps, scheduler decisions,
-// all recorded single-threaded in barrier context) land on shard 0's
-// collector. MergeTelemetry then folds everything back into the tracer
-// passed here.
-func (p *Pool) SetTracer(t *trace.Tracer) {
-	if t != nil && p.ss.ShardTracer(0) != nil {
-		p.tracer = p.ss.ShardTracer(0)
-		for _, w := range p.workers {
-			w.st.SetTracer(p.ss.ShardTracer(w.shard))
-		}
-		return
-	}
-	p.tracer = t
-	for _, w := range p.workers {
-		w.st.SetTracer(t)
-	}
-}
-
-// Tracer returns the attached span tracer, or nil when tracing is off.
-func (p *Pool) Tracer() *trace.Tracer { return p.tracer }
 
 // Size returns the number of workers.
 func (p *Pool) Size() int { return len(p.workers) }

@@ -263,7 +263,10 @@ type PeerConfig struct {
 // verdict (A3's eight components, the network example's ports, the fleet
 // experiments' barrier sweep over up to 2^20 disks) — so the band is
 // refilled once per phase: a full sweep is one O(P) select plus P O(1)
-// reads, with zero allocation once the buffer has grown to fleet size.
+// reads. Once the buffer has grown to fleet size, a phase of by-name
+// Observe and Verdict calls allocates nothing, and a SweepObserve /
+// SweepVerdicts pair allocates only its two fan-out closures, whatever
+// the fleet size.
 //
 // Members live by value in one dense slice, in registration order. A
 // bulk registration (RegisterAll) cuts every new member's window from one

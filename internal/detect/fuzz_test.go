@@ -178,3 +178,149 @@ func refEvidence(p *PeerSet, id string) (obs, ref float64) {
 	}
 	return stats.Median(m.window.Values()), refPeerMedian(p, id)
 }
+
+// fuzzMaxSteps bounds one FuzzHysteresis program's Observe and Verdict
+// calls.
+const fuzzMaxSteps = 256
+
+// scriptedDetector is FuzzHysteresis's inner detector: it reports
+// whatever verdict the program last set.
+type scriptedDetector struct{ v spec.Verdict }
+
+func (d *scriptedDetector) Observe(now, rate float64)        {}
+func (d *scriptedDetector) Verdict(now float64) spec.Verdict { return d.v }
+
+// refHysteresis is FuzzHysteresis's reference state machine. It keeps
+// the history of inner verdicts its Observes saw and reads each streak
+// off the history's tail, instead of keeping running counters as
+// Hysteresis does; want collects the audit records it expects.
+type refHysteresis struct {
+	enter, exit int
+	seen        []spec.Verdict
+	reported    spec.Verdict
+	want        []trace.AuditRecord
+}
+
+// run counts the trailing observations equal to v.
+func (r *refHysteresis) run(v spec.Verdict) int {
+	n := 0
+	for i := len(r.seen) - 1; i >= 0 && r.seen[i] == v; i-- {
+		n++
+	}
+	return n
+}
+
+func (r *refHysteresis) expect(now float64, kind string, to spec.Verdict, streak, need int) {
+	r.want = append(r.want, trace.AuditRecord{
+		Time: now, Kind: kind, From: r.reported.String(), To: to.String(), Streak: streak, Need: need,
+	})
+}
+
+func (r *refHysteresis) latch(now float64) {
+	r.expect(now, trace.AuditLatch, spec.AbsoluteFaulty, 0, 0)
+	r.reported = spec.AbsoluteFaulty
+}
+
+func (r *refHysteresis) observe(now float64, v spec.Verdict) {
+	if r.reported == spec.AbsoluteFaulty {
+		return
+	}
+	if v == spec.AbsoluteFaulty {
+		r.latch(now)
+		return
+	}
+	r.seen = append(r.seen, v)
+	need := r.enter
+	if v == spec.Nominal {
+		need = r.exit
+	}
+	if v == r.reported {
+		return // agreement: streaks move, nothing to decide
+	}
+	streak := r.run(v)
+	if streak < need {
+		r.expect(now, trace.AuditDebounce, v, streak, need)
+		return
+	}
+	r.expect(now, trace.AuditTransition, v, streak, need)
+	r.reported = v
+}
+
+func (r *refHysteresis) verdict(now float64, v spec.Verdict) spec.Verdict {
+	if r.reported != spec.AbsoluteFaulty && v == spec.AbsoluteFaulty {
+		r.latch(now)
+	}
+	return r.reported
+}
+
+// FuzzHysteresis decodes its input as (enterAfter, exitAfter) in 1..8
+// and then a program of up to 256 steps. Each step sets the inner
+// detector's verdict (nominal, perf-faulty or absolute) and calls
+// Observe or Verdict. After every step the reported verdict must match
+// refHysteresis's, and the audit log must match its records: kinds,
+// verdicts, streaks and times. Independently of the reference, every
+// change of the reported verdict must show up as exactly one transition
+// or latch record at that step, naming the old and new verdicts, and no
+// such record may appear at a step where the verdict did not change; an
+// absolute verdict never leaves; and a record that moves the verdict
+// back to nominal carries a full exit streak. The seed corpus under
+// testdata/fuzz/FuzzHysteresis replays on every go test run.
+func FuzzHysteresis(f *testing.F) {
+	verdicts := [3]spec.Verdict{spec.Nominal, spec.PerfFaulty, spec.AbsoluteFaulty}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := &fuzzProgram{b: data}
+		inner := &scriptedDetector{v: spec.Nominal}
+		ref := &refHysteresis{enter: 1 + int(p.next()%8), exit: 1 + int(p.next()%8), reported: spec.Nominal}
+		h := NewHysteresis(inner, ref.enter, ref.exit)
+		log := trace.NewAuditLog()
+		h.EnableAudit(log, "c")
+		prev := spec.Nominal
+		for step := 1; step <= fuzzMaxSteps && p.more(); step++ {
+			b := p.next()
+			now := float64(step)
+			inner.v = verdicts[(b>>1)%3]
+			if b&1 == 0 {
+				h.Observe(now, 1)
+				ref.observe(now, inner.v)
+			} else if got, want := h.Verdict(now), ref.verdict(now, inner.v); got != want {
+				t.Fatalf("step %d: Verdict = %v, want %v", step, got, want)
+			}
+			// A nominal inner verdict reads the reported verdict without
+			// moving the state machine.
+			inner.v = spec.Nominal
+			got := h.Verdict(now)
+			if got != ref.reported {
+				t.Fatalf("step %d (enter %d, exit %d): reported %v, want %v", step, ref.enter, ref.exit, got, ref.reported)
+			}
+			if prev == spec.AbsoluteFaulty && got != spec.AbsoluteFaulty {
+				t.Fatalf("step %d: absolute verdict left its latch for %v", step, got)
+			}
+			var moves []trace.AuditRecord
+			for _, r := range log.Records() {
+				if r.Time == now && r.Kind != trace.AuditDebounce {
+					moves = append(moves, r)
+				}
+			}
+			switch {
+			case got == prev && len(moves) > 0:
+				t.Fatalf("step %d: %d transition/latch records but the verdict stayed %v", step, len(moves), got)
+			case got != prev && (len(moves) != 1 || moves[0].From != prev.String() || moves[0].To != got.String()):
+				t.Fatalf("step %d: verdict moved %v -> %v, records %+v", step, prev, got, moves)
+			case got != prev && got == spec.Nominal && (moves[0].Streak != ref.exit || moves[0].Need != ref.exit):
+				t.Fatalf("step %d: back to nominal on streak %d/%d, want %d", step, moves[0].Streak, moves[0].Need, ref.exit)
+			}
+			prev = got
+		}
+		recs := log.Records()
+		if len(recs) != len(ref.want) {
+			t.Fatalf("audit log has %d records, reference %d:\n%+v\nwant %+v", len(recs), len(ref.want), recs, ref.want)
+		}
+		for i, r := range recs {
+			w := ref.want[i]
+			if r.Time != w.Time || r.Kind != w.Kind || r.From != w.From || r.To != w.To ||
+				r.Streak != w.Streak || r.Need != w.Need || r.Component != "c" {
+				t.Fatalf("audit record %d = %+v, want %+v", i, r, w)
+			}
+		}
+	})
+}

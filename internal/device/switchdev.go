@@ -5,7 +5,6 @@ import (
 
 	"failstutter/internal/faults"
 	"failstutter/internal/sim"
-	"failstutter/internal/trace"
 )
 
 // SwitchParams configures a simulated crossbar switch in the style of the
@@ -82,6 +81,11 @@ type bufWaiter struct {
 // ShardFor("port-i"). The wire latency must be at least the coordinator's
 // lookahead — it is the delay every cross-port interaction pays, which is
 // exactly what makes the parallel windows safe.
+//
+// To trace the switch, install telemetry on ss (SetTelemetry) before
+// calling NewSwitch: port group i's stations — the sender link
+// ("link-<i>" track) and the output-port drain ("out-<i>" track) — then
+// record into shard ShardFor("port-i")'s collector.
 func NewSwitch(ss *sim.ShardedSimulator, p SwitchParams) *Switch {
 	if p.Ports < 2 || p.LinkRate <= 0 || p.DrainRate <= 0 || p.BufferBytes <= 0 || !(p.WireLatency > 0) {
 		panic(fmt.Sprintf("device: invalid switch params %+v (WireLatency must be positive)", p))
@@ -99,6 +103,13 @@ func NewSwitch(ss *sim.ShardedSimulator, p SwitchParams) *Switch {
 	}
 	for i := 0; i < p.Ports; i++ {
 		sw.sends = append(sw.sends, newSender(sw, ss.Shard(sw.shardOf[i]), i, p))
+	}
+	// Attach port group by port group: the track order (out-i, then
+	// link-i) is part of the exported trace.
+	for i := range sw.outs {
+		t := ss.ShardTracer(sw.shardOf[i])
+		sw.outs[i].station.SetTracer(t)
+		sw.sends[i].link.SetTracer(t)
 	}
 	return sw
 }
@@ -125,26 +136,6 @@ func newSender(sw *Switch, s *sim.Simulator, i int, p SwitchParams) *Sender {
 		comp:   faults.NewComposite(link),
 		origin: fmt.Sprintf("sender-%d", i),
 		weight: 1,
-	}
-}
-
-// SetTracer attaches a span tracer to every port group's stations: the
-// sender links ("link-<i>" tracks) and the output-port drains ("out-<i>"
-// tracks). With per-shard collectors installed
-// (sim.ShardedSimulator.SetTelemetry), port group i records into its home
-// shard's collector and the deterministic merge folds everything into the
-// tracer passed here; otherwise all stations record into it directly. A
-// nil tracer detaches.
-func (sw *Switch) SetTracer(t *trace.Tracer) {
-	for i := range sw.outs {
-		st := t
-		if t != nil {
-			if shardT := sw.ss.ShardTracer(sw.shardOf[i]); shardT != nil {
-				st = shardT
-			}
-		}
-		sw.outs[i].station.SetTracer(st)
-		sw.sends[i].link.SetTracer(st)
 	}
 }
 

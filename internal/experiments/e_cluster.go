@@ -86,14 +86,10 @@ func fmtVirt(d sim.Duration) string { return fmt.Sprintf("%.3fs", d) }
 func clusterRunT(cfg Config, tel *Telemetry, name string, sched cluster.Scheduler, tasks []cluster.Task, setup func(*cluster.Pool)) cluster.Report {
 	ss := shardedCluster(cfg, tel)
 	p := cluster.NewPool(ss, 4, clusterQuantum)
-	if tel != nil {
-		run := tel.nextRun(name)
-		p.SetTracer(tel.Tracer)
-		tel.attachProfileSharded(ss, run)
-		if da, ok := sched.(cluster.DetectAvoid); ok && tel.Audit != nil {
-			da.Audit = tel.Audit
-			sched = da
-		}
+	tel.attachProfileSharded(ss, tel.nextRun(name))
+	if da, ok := sched.(cluster.DetectAvoid); ok && tel != nil && tel.Audit != nil {
+		da.Audit = tel.Audit
+		sched = da
 	}
 	if setup != nil {
 		setup(p)
@@ -117,13 +113,7 @@ func runE14(cfg Config) *Table {
 			Nodes: 4, Replication: 2, OpQuantum: clusterQuantum,
 			Adaptive: adaptive, SampleEvery: 1e-3,
 		})
-		if tel != nil {
-			d.SetTracer(tel.Tracer)
-			tel.attachProfileSharded(ss, tel.nextRun(name))
-			if tel.Audit != nil && adaptive {
-				d.EnableAudit(tel.Audit)
-			}
-		}
+		tel.attachProfileSharded(ss, tel.nextRun(name))
 		if gc {
 			cancel := d.StartGC(0, 40e-3, 35e-3)
 			defer cancel()
@@ -241,10 +231,7 @@ func runE29(cfg Config) *Table {
 	runBSP := func(name string, params cluster.BSPParams, slowSpeed float64) sim.Duration {
 		ss := shardedCluster(cfg, tel)
 		p := cluster.NewPool(ss, 4, clusterQuantum)
-		if tel != nil {
-			p.SetTracer(tel.Tracer)
-			tel.attachProfileSharded(ss, tel.nextRun(name))
-		}
+		tel.attachProfileSharded(ss, tel.nextRun(name))
 		if slowSpeed > 0 {
 			p.Workers()[0].SetSpeed(slowSpeed)
 		}

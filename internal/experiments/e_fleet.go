@@ -70,9 +70,10 @@ type FleetParams struct {
 	ObserveBarrier func(st sim.BarrierStats, perShard []uint64)
 	// Telemetry, when non-nil, traces the fleet: per-shard collectors are
 	// installed on the kernel and every disk station records into its home
-	// shard's collector. Fleet runs are expected to set Telemetry.Recorder
-	// (the flight-recorder bound) — retaining every span of a million-disk
-	// run wholesale is exactly what the recorder exists to avoid.
+	// shard's collector. Fleet runs are expected to put Telemetry.Tracer
+	// under a flight recorder (FleetRecorder), whose bound every per-shard
+	// collector inherits — retaining every span of a million-disk run
+	// wholesale is exactly what the recorder exists to avoid.
 	Telemetry *Telemetry
 }
 
@@ -379,9 +380,7 @@ func runE32(cfg Config) *Table {
 		// how many disks the fleet has. One seed for the whole experiment —
 		// the destination tracer and every per-shard collector must agree
 		// on sampling priorities for the merge to be placement-invariant.
-		rc := FleetRecorder(cfg.Seed)
-		tel.Recorder = &rc
-		tel.Tracer.SetFlightRecorder(rc)
+		tel.Tracer.SetFlightRecorder(FleetRecorder(cfg.Seed))
 	}
 	fleets := []int{512, 2048}
 	if !cfg.Quick {

@@ -17,8 +17,8 @@ const switchWire = 1e-4
 // shardedNet builds the coordinator the switch experiments run on —
 // always the sharded kernel, at whatever -shards says (1 included), with
 // lookahead derived from the fabric's wire latency. Traced runs install
-// per-shard telemetry collectors, merged deterministically at the end of
-// each sub-run.
+// per-shard telemetry collectors, which the switch built on it records
+// into, merged deterministically at the end of each sub-run.
 func shardedNet(cfg Config, tel *Telemetry) *sim.ShardedSimulator {
 	ss := cfg.newSharded(cfg.ShardCount(), switchWire)
 	tel.attachSharded(ss)
@@ -79,10 +79,7 @@ func runE10(cfg Config) *Table {
 		name := fmt.Sprintf("slow%d-%.2f", tc.slow, tc.speed)
 		ss := shardedNet(cfg, tel)
 		sw := transposeSwitch(ss, ports)
-		if tel != nil {
-			sw.SetTracer(tel.Tracer)
-			tel.attachProfileSharded(ss, tel.nextRun(name))
-		}
+		tel.attachProfileSharded(ss, tel.nextRun(name))
 		for i := 0; i < tc.slow; i++ {
 			sw.ReceiverComposite(i).Set("slow", tc.speed)
 		}
@@ -129,10 +126,7 @@ func runE11(cfg Config) *Table {
 			Ports: ports, LinkRate: 1e6, DrainRate: 0.4e6, BufferBytes: 32 * 1024,
 			WireLatency: switchWire,
 		})
-		if tel != nil {
-			sw.SetTracer(tel.Tracer)
-			tel.attachProfileSharded(ss, tel.nextRun(name))
-		}
+		tel.attachProfileSharded(ss, tel.nextRun(name))
 		if unfair {
 			sw.Sender(0).SetWeight(8)
 			sw.Sender(1).SetWeight(8)
@@ -235,10 +229,7 @@ func runE12(cfg Config) *Table {
 	for _, freezes := range []int{0, 1, 2, 3} {
 		ss := shardedNet(cfg, tel)
 		sw := transposeSwitch(ss, ports)
-		if tel != nil {
-			sw.SetTracer(tel.Tracer)
-			tel.attachProfileSharded(ss, tel.nextRun(fmt.Sprintf("freeze-%d", freezes)))
-		}
+		tel.attachProfileSharded(ss, tel.nextRun(fmt.Sprintf("freeze-%d", freezes)))
 		// Space freezes so each lands while the (stretched) transfer is
 		// still in flight: completion after k freezes is base + 2k.
 		for i := 0; i < freezes; i++ {

@@ -23,11 +23,10 @@ type Telemetry struct {
 	// station occupancy sampler so the profiler can reconstruct
 	// queue-depth and backlog profiles alongside the span DAG.
 	Profile bool
-	// Recorder, when non-nil, bounds the tracing plane with a flight
-	// recorder (fleet-scale experiments set it before their first
-	// sub-run): the destination tracer and every per-shard collector get
-	// the same ring/reservoir/seed configuration, which is what makes the
-	// merged selection byte-identical at any shard count.
+	// Recorder is ignored: a sharded sub-run's per-shard collectors take
+	// their flight-recorder bound from Tracer (Tracer.SetFlightRecorder).
+	//
+	// Deprecated: kept only so existing callers that set it still build.
 	Recorder *trace.RecorderConfig
 
 	runSeq int
@@ -67,20 +66,15 @@ func (tel *Telemetry) attachProfile(s *sim.Simulator, run string) {
 }
 
 // attachSharded installs per-shard telemetry collectors on one sub-run's
-// coordinator, feeding this telemetry's sinks (and flight-recorder
-// bound, if set). Components wired afterwards record shard-locally; the
-// sub-run's endSharded folds everything back. A no-op when telemetry is
-// off.
+// coordinator, feeding this telemetry's sinks; per-shard tracers inherit
+// the Tracer's flight-recorder bound. Components built afterwards record
+// shard-locally; the sub-run's endSharded folds everything back. A no-op
+// when telemetry is off.
 func (tel *Telemetry) attachSharded(ss *sim.ShardedSimulator) {
 	if tel == nil {
 		return
 	}
-	ss.SetTelemetry(sim.TelemetrySinks{
-		Tracer:         tel.Tracer,
-		Metrics:        tel.Metrics,
-		Audit:          tel.Audit,
-		FlightRecorder: tel.Recorder,
-	})
+	ss.SetTelemetry(sim.TelemetrySinks{Tracer: tel.Tracer, Metrics: tel.Metrics, Audit: tel.Audit})
 }
 
 // attachProfileSharded is attachProfile for a sharded sub-run: each

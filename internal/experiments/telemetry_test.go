@@ -124,32 +124,69 @@ func TestTelemetryGolden(t *testing.T) {
 	}
 }
 
-// TestFleetTelemetryDigest pins every artifact of E32's quick, seed-42
-// flight-recorded run at one shard — the Chrome trace, the metrics JSON
-// and CSV, the audit JSON — by SHA-256, in sha256sum format, so the
-// recorder's selection cannot drift unnoticed. The file names are the
-// ones `fstutter run E32 -quick -seed 42 -shards 1 -trace-out=DIR
+// digestIDs are the experiments whose telemetry runs on the sharded
+// kernel's per-shard collectors: the switch plane (E10–E12), the cluster
+// plane (E14, E15, E23, E24, E29) and the E32 fleet under its flight
+// recorder. Their artifacts are pinned because the merge is what keeps
+// them byte-identical at every shard count.
+var digestIDs = []string{"E10", "E11", "E12", "E14", "E15", "E23", "E24", "E29", "E32"}
+
+// TestFleetTelemetryDigest pins every telemetry artifact of the sharded
+// planes' quick, seed-42 runs — the Chrome trace, the metrics JSON and
+// CSV, the audit JSON — by SHA-256, in sha256sum format, one
+// testdata/<ID>.telemetry.sha256 file per experiment. Each experiment
+// runs at 1 and 3 shards against the same file, so neither the merge nor
+// the flight recorder's selection can drift unnoticed. The file names are
+// the ones `fstutter run <ID> -quick -seed 42 -trace-out=DIR
 // -metrics-out=DIR -audit` writes, so `sha256sum -c` checks that
 // directory against the committed file. Refresh with `go test
-// ./internal/experiments -run FleetTelemetryDigest -update` only when
-// the change is meant to move E32's artifacts.
+// ./internal/experiments -run FleetTelemetryDigest -update` (it writes
+// the 1-shard digests) only when the change is meant to move artifacts.
 func TestFleetTelemetryDigest(t *testing.T) {
-	e, err := Get("E32")
+	for _, id := range digestIDs {
+		path := filepath.Join("testdata", id+".telemetry.sha256")
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/shards=%d", id, shards), func(t *testing.T) {
+				got := telemetryDigest(t, id, shards)
+				if *update && shards == 1 {
+					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("%v (run with -update to create)", err)
+				}
+				if got != string(want) {
+					t.Fatalf("%s quick seed-42 artifacts at %d shards diverged from %s:\n--- got\n%s--- want\n%s"+
+						"refresh with -update only if the change is meant to move them",
+						id, shards, path, got, want)
+				}
+			})
+		}
+	}
+}
+
+// telemetryDigest runs one experiment observed at the given shard count
+// and returns its artifacts' SHA-256 lines in sha256sum format.
+func telemetryDigest(t *testing.T, id string, shards int) string {
+	t.Helper()
+	e, err := Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := observed
-	cfg.Shards = 1
+	cfg.Shards = shards
 	tel := e.Run(cfg).Telemetry
 	var got strings.Builder
 	for _, a := range []struct {
 		name  string
 		write func(io.Writer) error
 	}{
-		{"E32.trace.json", tel.Tracer.WriteChromeTrace},
-		{"E32.metrics.json", tel.Metrics.WriteJSON},
-		{"E32.metrics.csv", tel.Metrics.WriteCSV},
-		{"E32.audit.json", tel.Audit.WriteJSON},
+		{id + ".trace.json", tel.Tracer.WriteChromeTrace},
+		{id + ".metrics.json", tel.Metrics.WriteJSON},
+		{id + ".metrics.csv", tel.Metrics.WriteCSV},
+		{id + ".audit.json", tel.Audit.WriteJSON},
 	} {
 		h := sha256.New()
 		if err := a.write(h); err != nil {
@@ -157,19 +194,5 @@ func TestFleetTelemetryDigest(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "%x  %s\n", h.Sum(nil), a.name)
 	}
-	path := filepath.Join("testdata", "E32.telemetry.sha256")
-	if *update {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create)", err)
-	}
-	if got.String() != string(want) {
-		t.Fatalf("E32 quick seed-42 artifacts diverged from %s:\n--- got\n%s--- want\n%s"+
-			"refresh with -update only if the change is meant to move them",
-			path, got.String(), want)
-	}
+	return got.String()
 }

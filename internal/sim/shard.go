@@ -507,9 +507,9 @@ type BarrierStats struct {
 	// WindowNanos is the run's wall-clock in the parallel window region;
 	// DeliverNanos and SweepNanos split the barrier's: the cross-shard
 	// sort-and-schedule (the merge wall) versus the barrier hook (the
-	// sweep wall — where the fleet's detection sweep runs, the part
-	// BarrierParallelism exists to shrink). Wall-clock: nondeterministic
-	// across runs and hosts.
+	// sweep wall — where the fleet's detection sweep runs, fanned across
+	// the barrier pool's one worker per shard). Wall-clock:
+	// nondeterministic across runs and hosts.
 	WindowNanos  int64
 	DeliverNanos int64
 	SweepNanos   int64

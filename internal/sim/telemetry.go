@@ -6,19 +6,17 @@ import "failstutter/internal/trace"
 // folds into. Any sink may be nil to leave that plane off; the off path
 // costs components exactly what an untraced run costs (one nil check,
 // zero allocations).
+//
+// A Tracer in flight-recorder mode bounds every per-shard tracer the
+// same way (trace.Tracer.FlightRecorder): open spans are tracked
+// exactly, completed spans pass through the bounded deterministic ring +
+// reservoir selection instead of being retained wholesale, and the merge
+// reproduces the single-collector selection. This is how the fleet
+// experiments trace 2^20 disks in bounded memory.
 type TelemetrySinks struct {
 	Tracer  *trace.Tracer
 	Metrics *trace.Registry
 	Audit   *trace.AuditLog
-
-	// FlightRecorder, when non-nil, bounds every per-shard tracer (and,
-	// for the merge to reproduce single-collector selection, must match
-	// the recorder configured on the destination Tracer): open spans are
-	// tracked exactly, completed spans pass through the bounded
-	// deterministic ring + reservoir selection instead of being retained
-	// wholesale. This is how the fleet experiments trace 2^20 disks in
-	// bounded memory.
-	FlightRecorder *trace.RecorderConfig
 }
 
 // shardTelemetry is the per-shard collector set behind SetTelemetry.
@@ -40,8 +38,9 @@ type shardTelemetry struct {
 // placement-invariant order, so the exported artifacts are byte-identical
 // at any shard count.
 //
-// Call it before wiring components (they capture their shard's collector
-// when attached) and outside the parallel window.
+// Call it before building components (NewSwitch, NewPool and NewDHT take
+// their shard's collectors when constructed) and outside the parallel
+// window.
 func (ss *ShardedSimulator) SetTelemetry(sinks TelemetrySinks) {
 	if ss.inWindow {
 		panic("sim: SetTelemetry inside the parallel window")
@@ -49,11 +48,12 @@ func (ss *ShardedSimulator) SetTelemetry(sinks TelemetrySinks) {
 	tel := &shardTelemetry{sinks: sinks}
 	k := len(ss.shards)
 	if sinks.Tracer != nil {
+		rc, bounded := sinks.Tracer.FlightRecorder()
 		tel.tracers = make([]*trace.Tracer, k)
 		for i := range tel.tracers {
 			t := trace.NewShardTracer(i)
-			if sinks.FlightRecorder != nil {
-				t.SetFlightRecorder(*sinks.FlightRecorder)
+			if bounded {
+				t.SetFlightRecorder(rc)
 			}
 			tel.tracers[i] = t
 		}
@@ -73,18 +73,9 @@ func (ss *ShardedSimulator) SetTelemetry(sinks TelemetrySinks) {
 	ss.tel = tel
 }
 
-// Telemetry returns the sinks installed by SetTelemetry (zero value when
-// telemetry is off).
-func (ss *ShardedSimulator) Telemetry() TelemetrySinks {
-	if ss.tel == nil {
-		return TelemetrySinks{}
-	}
-	return ss.tel.sinks
-}
-
 // ShardTracer returns shard i's trace collector, or nil when tracing is
-// off — components pass it straight to their SetTracer hooks, whose nil
-// path is the 0-alloc disabled path.
+// off — components pass it straight to their stations' SetTracer, whose
+// nil path is the 0-alloc disabled path.
 func (ss *ShardedSimulator) ShardTracer(i int) *trace.Tracer {
 	if ss.tel == nil || ss.tel.tracers == nil {
 		return nil

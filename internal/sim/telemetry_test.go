@@ -33,6 +33,31 @@ func TestSetTelemetryInstallsPerShardCollectors(t *testing.T) {
 	}
 }
 
+// TestSetTelemetryShardTracersInheritFlightRecorder checks that every
+// per-shard tracer takes the destination tracer's flight-recorder bound,
+// and none when the destination has none: a merge reproduces the
+// single-collector selection only when all of them match, and an
+// unbounded shard collector would retain every span of a fleet run.
+func TestSetTelemetryShardTracersInheritFlightRecorder(t *testing.T) {
+	rc := trace.RecorderConfig{Ring: 8, Reservoir: 4, Seed: 7}
+	bounded := trace.NewTracer()
+	bounded.SetFlightRecorder(rc)
+	for _, dst := range []*trace.Tracer{trace.NewTracer(), bounded} {
+		want, wantOK := dst.FlightRecorder()
+		ss := NewSharded(3, 1)
+		ss.SetTelemetry(TelemetrySinks{Tracer: dst})
+		for i := 0; i < 3; i++ {
+			got, ok := ss.ShardTracer(i).FlightRecorder()
+			if got != want || ok != wantOK {
+				t.Fatalf("shard %d recorder = %+v, %v; want %+v, %v as on the destination", i, got, ok, want, wantOK)
+			}
+		}
+	}
+	if got, ok := bounded.FlightRecorder(); !ok || got != rc {
+		t.Fatalf("destination recorder = %+v, %v; want %+v, true", got, ok, rc)
+	}
+}
+
 // TestMergeTelemetryFoldsAtMaxClockAndDetaches runs uneven shard-local
 // work, merges, and checks: spans from every shard land in the sink, the
 // returned fold time is the maximum shard clock (the one end-of-run

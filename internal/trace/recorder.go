@@ -56,6 +56,22 @@ func (t *Tracer) SetFlightRecorder(cfg RecorderConfig) {
 	}
 }
 
+// FlightRecorder returns the tracer's flight-recorder bound and whether
+// one is set. Collectors merged into this tracer must be bounded the same
+// way for the merge to reproduce single-collector selection, so per-shard
+// collectors take their bound from here. A nil tracer reports none.
+func (t *Tracer) FlightRecorder() (RecorderConfig, bool) {
+	if t == nil {
+		return RecorderConfig{}, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.fr == nil {
+		return RecorderConfig{}, false
+	}
+	return t.fr.cfg, true
+}
+
 const (
 	// frSlotBits splits a flight-recorder local id into an arena slot
 	// (low bits) and a reuse generation (the bits up to localIDBits), so

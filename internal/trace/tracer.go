@@ -76,6 +76,15 @@ type Tracer struct {
 	// spans are tracked exactly, completed spans pass through a bounded
 	// deterministic selection instead of being retained wholesale.
 	fr *flightRecorder
+	// _ pads a Tracer to 128 bytes, two whole cache lines, so the
+	// allocator gives it lines of its own. A sharded run allocates its
+	// per-shard collectors back to back and every shard writes its own
+	// one's mutex twice per span; at 88 bytes, two collectors could share
+	// a line depending on what was allocated before them, and the line
+	// then bounced between the shards' cores. That cost the traced
+	// 2^17-disk fleet on 2 shards about a quarter of its wall time (2
+	// vCPUs).
+	_ [40]byte
 }
 
 // NewTracer builds an empty tracer.

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestTracerSpanLifecycle(t *testing.T) {
@@ -73,6 +74,33 @@ func TestTracerReserveTracks(t *testing.T) {
 	}
 	var none *Tracer
 	none.ReserveTracks(n) // nil-safe, as every Tracer method
+}
+
+// TestShardTracersOwnTheirCacheLines checks that per-shard collectors
+// allocated back to back never share a cache line: each shard writes its
+// own collector's mutex on every span, so a shared line would bounce
+// between the shards' cores.
+func TestShardTracersOwnTheirCacheLines(t *testing.T) {
+	const line = 64
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the padding is sized for 64-bit pointers")
+	}
+	size := unsafe.Sizeof(Tracer{})
+	if size%line != 0 {
+		t.Fatalf("Tracer is %d bytes, not a whole number of %d-byte cache lines", size, line)
+	}
+	owner := map[uintptr]int{}
+	shards := make([]*Tracer, 8)
+	for i := range shards {
+		shards[i] = NewShardTracer(i)
+		start := uintptr(unsafe.Pointer(shards[i]))
+		for l := start / line; l <= (start+size-1)/line; l++ {
+			if j, ok := owner[l]; ok {
+				t.Fatalf("shard tracers %d and %d share the cache line at %#x", j, i, l*line)
+			}
+			owner[l] = i
+		}
+	}
 }
 
 func TestTracerNilSafe(t *testing.T) {
